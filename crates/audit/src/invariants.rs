@@ -7,11 +7,13 @@
 //! inflated ledgers, bent curves) and prove each check fires, something a
 //! well-typed `Collection` would never let it construct.
 //!
-//! [`check_collection`] adds the cross-checks that need the live object
-//! (owner/balance index consistency, event-log replay), and [`check_state`]
-//! sweeps every collection of an [`L2State`].
+//! [`check_collection`] adds the cross-check that needs the live object
+//! (owner/balance index consistency), and [`check_state`] sweeps every
+//! collection of an [`L2State`]. Collections keep no event history, so the
+//! event check lives on receipt streams instead:
+//! [`crate::replay::check_event_replay`].
 
-use parole_nft::{Collection, Erc721Event};
+use parole_nft::Collection;
 use parole_primitives::{Address, TokenId, Wei};
 use parole_state::L2State;
 use std::collections::BTreeMap;
@@ -127,8 +129,6 @@ pub enum InvariantViolation {
         /// `balance_of` report.
         got: u64,
     },
-    /// Replaying the event log does not reconstruct current ownership.
-    EventReplayMismatch,
 }
 
 impl fmt::Display for InvariantViolation {
@@ -182,9 +182,6 @@ impl fmt::Display for InvariantViolation {
                 f,
                 "balance_of({owner}) = {got}, ownership index counts {expected}"
             ),
-            InvariantViolation::EventReplayMismatch => {
-                write!(f, "event-log replay does not reconstruct ownership")
-            }
         }
     }
 }
@@ -280,7 +277,7 @@ pub fn check_facts(facts: &CollectionFacts) -> Result<(), InvariantViolation> {
 }
 
 /// Checks a live collection: extracted facts plus the owner/balance index
-/// and event-log replay cross-checks.
+/// cross-check.
 ///
 /// # Errors
 ///
@@ -304,22 +301,6 @@ pub fn check_collection(c: &Collection) -> Result<(), InvariantViolation> {
                 got,
             });
         }
-    }
-
-    // Replaying the append-only event log must reconstruct ownership.
-    let mut replay: BTreeMap<TokenId, Address> = BTreeMap::new();
-    for ev in c.events() {
-        if let Erc721Event::Transfer { to, token, .. } = ev {
-            if to.is_zero() {
-                replay.remove(token);
-            } else {
-                replay.insert(*token, *to);
-            }
-        }
-    }
-    let live: BTreeMap<TokenId, Address> = facts.active.iter().copied().collect();
-    if replay != live {
-        return Err(InvariantViolation::EventReplayMismatch);
     }
     Ok(())
 }

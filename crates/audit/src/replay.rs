@@ -143,10 +143,11 @@ pub enum EventReplayViolation {
         collection: Address,
         /// The token whose listing diverged.
         token: TokenId,
-        /// `(seller, ask)` according to the replayed event stream.
-        replayed: Option<(Address, Wei)>,
+        /// `(seller, ask)` according to the replayed event stream (boxed,
+        /// like `actual`, to keep the violation small enough to return).
+        replayed: Option<Box<(Address, Wei)>>,
         /// `(seller, ask)` in the actual post-block state.
-        actual: Option<(Address, Wei)>,
+        actual: Option<Box<(Address, Wei)>>,
     },
     /// Replayed and actual royalty stamp of one token disagree.
     RoyaltyMismatch {
@@ -501,8 +502,8 @@ fn diff_maps(replayed: &StateMaps, actual: &StateMaps) -> Result<(), EventReplay
                 return Err(EventReplayViolation::ListingMismatch {
                     collection: *addr,
                     token: *token,
-                    replayed: r.copied(),
-                    actual: a.copied(),
+                    replayed: r.copied().map(Box::new),
+                    actual: a.copied().map(Box::new),
                 });
             }
         }
@@ -967,7 +968,7 @@ mod tests {
         for r in &mut receipts {
             for log in &mut r.logs {
                 if let Erc721Event::Sold { royalty, .. } = &mut log.event {
-                    *royalty = *royalty + Wei::from_wei(1);
+                    *royalty += Wei::from_wei(1);
                     forged = true;
                 }
             }

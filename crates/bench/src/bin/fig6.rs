@@ -3,9 +3,9 @@
 //! (a) 10% adversarial aggregators and (b) 50%.
 
 use parole::fleet::{run_fleet, FleetConfig};
-use parole::par::{parallel_map, threads_from_env};
 use parole_bench::report::{print_table, write_json};
 use parole_bench::Scale;
+use parole_par::{parallel_map, threads_from_env};
 use serde::Serialize;
 
 #[derive(Serialize)]

@@ -2,12 +2,12 @@
 //! DQN agent, for initial exploration rates ε₀ ∈ {0, 0.5, 1}, serving
 //! (a) 1 IFU and (b) 2 IFUs.
 
-use parole::par::{parallel_map, threads_from_env};
 use parole::{ReorderEnv, RewardConfig};
 use parole_bench::economy::Economy;
 use parole_bench::report::{print_table, write_json};
 use parole_bench::Scale;
 use parole_drl::{moving_average, DqnAgent, DqnConfig, Environment};
+use parole_par::{parallel_map, threads_from_env};
 use serde::Serialize;
 
 #[derive(Serialize)]

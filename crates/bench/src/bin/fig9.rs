@@ -3,12 +3,12 @@
 //! solution (an ordering strictly better than the original) appears — for
 //! 1–4 IFUs and two mempool sizes.
 
-use parole::par::{parallel_map, threads_from_env};
 use parole::GentranseqModule;
 use parole_bench::economy::Economy;
 use parole_bench::kde::KernelDensity;
 use parole_bench::report::{print_table, write_json};
 use parole_bench::Scale;
+use parole_par::{parallel_map, threads_from_env};
 use serde::Serialize;
 
 #[derive(Serialize)]

@@ -1011,7 +1011,12 @@ fn run_marketplace_section() {
         .enumerate()
         .map(|(i, r)| {
             vec![
-                if i < 3 { "marketplace" } else { "transfer-only" }.into(),
+                if i < 3 {
+                    "marketplace"
+                } else {
+                    "transfer-only"
+                }
+                .into(),
                 r.exec_mode.clone(),
                 format!("{}", r.txs),
                 format!("{:.1}", r.blocks_per_sec),

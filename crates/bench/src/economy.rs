@@ -71,8 +71,7 @@ impl Economy {
 
     /// Adds chain background unrelated to the attack window: `accounts`
     /// funded bystander accounts and `collections` spectator NFT collections
-    /// with partially minted-out supplies (and the event logs that come with
-    /// them).
+    /// with partially minted-out supplies.
     ///
     /// A realistic L2 state dwarfs any single attack window. The naive
     /// clone-per-candidate evaluator pays to copy all of it on *every*

@@ -98,7 +98,7 @@ fn git_revision() -> String {
 /// The worker-thread count a `threads: 0` ("auto") sweep would use:
 /// `PAROLE_THREADS` when set, the machine's parallelism otherwise.
 fn effective_threads() -> usize {
-    match parole::par::threads_from_env() {
+    match parole_par::threads_from_env() {
         0 => std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),

@@ -950,7 +950,10 @@ mod tests {
             PoolVariant::Indexed,
             ExecMode::Serial,
         );
-        assert_eq!(serial.reverts, 0, "marketplace schedule is valid by construction");
+        assert_eq!(
+            serial.reverts, 0,
+            "marketplace schedule is valid by construction"
+        );
         assert!(serial.root_matches_naive);
         for threads in [1usize, 2, 8] {
             let par = run_traffic(
@@ -980,10 +983,13 @@ mod tests {
         let mut open: HashMap<(Address, TokenId), usize> = HashMap::new();
         for (i, block) in generate_marketplace_blocks(&cfg).iter().enumerate() {
             for tx in block {
-                let key = (tx.kind.collection(), match tx.kind.token() {
-                    Some(t) => t,
-                    None => continue,
-                });
+                let key = (
+                    tx.kind.collection(),
+                    match tx.kind.token() {
+                        Some(t) => t,
+                        None => continue,
+                    },
+                );
                 match tx.kind {
                     TxKind::List { .. } => {
                         assert!(!open.contains_key(&key), "double list of {key:?}");

@@ -13,7 +13,7 @@
 //! per-aggregator ordering step (`build_batch`, which runs GENTRANSEQ
 //! training for adversarial aggregators) independent across the fleet, so
 //! [`run_fleet`] fans it out over a bounded worker pool
-//! ([`crate::par::parallel_map`]) and then commits batches in aggregator
+//! ([`parole_par::parallel_map`]) and then commits batches in aggregator
 //! order. Because each aggregator owns its RNG streams and commits are
 //! serialized in a fixed order, the [`FleetOutcome`] is **bit-identical for
 //! every pool size** (see the `thread_count` determinism test).
@@ -282,7 +282,7 @@ pub fn run_fleet(config: &FleetConfig) -> FleetOutcome {
         // batch inside the worker.
         let state_ref = &state;
         let gas_ref = &gas_schedule;
-        let built = crate::par::parallel_map(
+        let built = parole_par::parallel_map(
             aggregators.iter_mut().zip(windows).collect(),
             config.threads,
             move |(agg, window): (&mut Aggregator, Vec<_>)| {

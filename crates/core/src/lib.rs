@@ -45,7 +45,6 @@ pub mod fleet;
 pub mod gentranseq;
 pub mod mdp;
 mod module;
-pub mod par;
 mod strategy;
 
 pub use assess::{assess, ArbitrageAssessment};

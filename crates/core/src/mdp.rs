@@ -508,9 +508,9 @@ impl Environment for ReorderEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parole_ovm::TxKind;
     use crate::encode::pair_to_index;
     use parole_nft::CollectionConfig;
+    use parole_ovm::TxKind;
     use parole_primitives::TokenId;
 
     fn addr(v: u64) -> Address {

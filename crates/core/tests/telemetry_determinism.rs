@@ -1,8 +1,9 @@
 //! Property test: the telemetry registry's thread-local → global merge is
-//! deterministic in counts. A `par::parallel_map` sweep recording counters
-//! and histograms from its workers must export bit-identical totals at 1, 2
-//! and 8 threads — the partition of items onto workers, and the order the
-//! workers' thread-local buffers merge in, must be unobservable.
+//! deterministic in counts. A `parole_par::parallel_map` sweep recording
+//! counters and histograms from its workers must export bit-identical
+//! totals at 1, 2 and 8 threads — the partition of items onto workers, and
+//! the order the workers' thread-local buffers merge in, must be
+//! unobservable.
 //!
 //! This file holds exactly one `#[test]` on purpose: the registry is
 //! process-global, and a single-test integration binary is the isolation
@@ -10,7 +11,7 @@
 
 #![cfg(feature = "telemetry")]
 
-use parole::par::parallel_map;
+use parole_par::parallel_map;
 use parole_telemetry as tel;
 use proptest::prelude::*;
 

@@ -1,7 +1,7 @@
 //! The limited-edition ERC-721 collection state machine.
 
 use crate::token_table::TokenTable;
-use crate::{Erc721Event, NftError};
+use crate::{Erc721Event, NftError, OpEvents};
 use parole_primitives::{storage_backend, Address, StorageBackend, TokenId, Wei};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -126,27 +126,14 @@ pub struct Listing {
     pub price: Wei,
 }
 
-/// How a settled sale splits the buyer's payment — returned by
-/// [`Collection::buy_undoable`] so the balance ledger (which lives in the
-/// OVM, not here) can move the matching wei.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SaleSettlement {
-    /// The seller to credit with `price − royalty`.
-    pub seller: Address,
-    /// The full price the buyer owes.
-    pub price: Wei,
-    /// The slice of `price` owed to the collection creator.
-    pub royalty: Wei,
-}
-
-/// Everything one mint/transfer/burn mutated, captured *before* the
-/// mutation so [`Collection::apply_undo`] can restore it exactly.
+/// Everything a per-token operation can mutate, captured by
+/// [`Collection::undo_point`] *before* the operation so
+/// [`Collection::apply_undo`] can restore it exactly.
 ///
-/// Undo records are produced by the `*_undoable` operation variants and are
-/// only valid against the collection that produced them, applied in LIFO
-/// order (newest first). The state undo-log journal relies on this to make
-/// speculative forks cheap: a token operation journals ~60 bytes instead of
-/// a full collection snapshot.
+/// Undo records are only valid against the collection that produced them,
+/// applied in LIFO order (newest first). The state undo-log journal relies
+/// on this to make speculative forks cheap: a token operation journals ~60
+/// bytes instead of a full collection snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CollectionUndo {
     token: TokenId,
@@ -154,7 +141,6 @@ pub struct CollectionUndo {
     prev_approval: Option<Address>,
     prev_listing: Option<Listing>,
     prev_royalty: Option<u16>,
-    events_len: usize,
     prev_counts: (u64, u64, u64),
 }
 
@@ -167,8 +153,9 @@ impl CollectionUndo {
     }
 }
 
-/// Everything one `set_approval_for_all` mutated, captured *before* the
-/// mutation so [`Collection::apply_operator_undo`] can restore it exactly.
+/// Everything one `set_approval_for_all` can mutate, captured by
+/// [`Collection::operator_undo_point`] *before* the operation so
+/// [`Collection::apply_operator_undo`] can restore it exactly.
 ///
 /// Operator approvals are not per-token state (they live beside the token
 /// table, keyed by `(owner, operator)`), so they carry their own undo record
@@ -179,7 +166,6 @@ pub struct OperatorUndo {
     owner: Address,
     operator: Address,
     prev_approved: bool,
-    events_len: usize,
 }
 
 impl OperatorUndo {
@@ -196,8 +182,11 @@ impl OperatorUndo {
 /// Invariants maintained:
 /// - `owners.len() == active token count ≤ max_supply`;
 /// - `remaining_supply() == max_supply − owners.len()` (`S^t` in the paper);
-/// - the event log grows monotonically and replaying it reconstructs the
-///   ownership map (checked by tests).
+/// - no event history: every operation returns the events it emitted
+///   ([`OpEvents`]), and the OVM's receipts are their only record. Clones,
+///   `==` and serialization therefore see live state only, and an operation
+///   sequence with no net effect leaves the collection equal to its
+///   pre-state.
 #[derive(Debug, Clone)]
 pub struct Collection {
     config: CollectionConfig,
@@ -218,8 +207,6 @@ pub struct Collection {
     /// Per-token creator-royalty basis points, stamped at mint from
     /// [`CollectionConfig::royalty_bps`]. Committed in the token leaf.
     royalties: BTreeMap<TokenId, u16>,
-    /// Append-only event log.
-    events: Vec<Erc721Event>,
     /// Lifetime counters (for snapshot/marketplace statistics).
     total_mints: u64,
     total_transfers: u64,
@@ -254,7 +241,6 @@ impl Collection {
             operators: BTreeSet::new(),
             listings: BTreeMap::new(),
             royalties: BTreeMap::new(),
-            events: Vec::new(),
             total_mints: 0,
             total_transfers: 0,
             total_burns: 0,
@@ -331,11 +317,6 @@ impl Collection {
         self.tokens.iter()
     }
 
-    /// The append-only event log.
-    pub fn events(&self) -> &[Erc721Event] {
-        &self.events
-    }
-
     /// Lifetime `(mints, transfers, burns)` counters.
     pub fn lifetime_counts(&self) -> (u64, u64, u64) {
         (self.total_mints, self.total_transfers, self.total_burns)
@@ -376,40 +357,26 @@ impl Collection {
         Ok(())
     }
 
-    /// Mints `token` to `to` (paper Eq. 2 minus the balance debit).
+    /// Mints `token` to `to` (paper Eq. 2 minus the balance debit). Emits a
+    /// `Transfer` from the zero address, then a `PriceChanged` if the curve
+    /// moved.
     ///
     /// # Errors
     ///
     /// Fails when the id is invalid, already active, or the collection is
-    /// sold out.
-    pub fn mint(&mut self, to: Address, token: TokenId) -> Result<(), NftError> {
-        self.mint_undoable(to, token).map(drop)
-    }
-
-    /// [`Collection::mint`] that also returns an undo record for the journal.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Collection::mint`]; on error nothing is
-    /// mutated and no undo record is produced.
-    pub fn mint_undoable(
-        &mut self,
-        to: Address,
-        token: TokenId,
-    ) -> Result<CollectionUndo, NftError> {
+    /// sold out; nothing is mutated then.
+    pub fn mint(&mut self, to: Address, token: TokenId) -> Result<OpEvents, NftError> {
         self.can_mint(token)?;
-        let undo = self.undo_point(token);
         let old_price = self.price();
         self.tokens.set_owner(token, to);
         self.royalties.insert(token, self.config.royalty_bps);
         self.total_mints += 1;
-        self.events.push(Erc721Event::Transfer {
+        let transfer = Erc721Event::Transfer {
             from: Address::ZERO,
             to,
             token,
-        });
-        self.push_price_event(old_price);
-        Ok(undo)
+        };
+        Ok(self.with_price_event(transfer, old_price))
     }
 
     /// Checks the contract-level transfer constraints without mutating
@@ -433,36 +400,23 @@ impl Collection {
     }
 
     /// Transfers `token` from `from` to `to` (paper Eq. 4 minus the balance
-    /// movement). Clears any outstanding approval.
+    /// movement). Clears any outstanding approval and emits a `Transfer`.
     ///
     /// # Errors
     ///
     /// Fails when `from` is not the owner, the token is inactive, or the
-    /// destination is degenerate.
-    pub fn transfer(&mut self, from: Address, to: Address, token: TokenId) -> Result<(), NftError> {
-        self.transfer_undoable(from, to, token).map(drop)
-    }
-
-    /// [`Collection::transfer`] that also returns an undo record for the
-    /// journal.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Collection::transfer`]; on error nothing is
-    /// mutated and no undo record is produced.
-    pub fn transfer_undoable(
+    /// destination is degenerate; nothing is mutated then.
+    pub fn transfer(
         &mut self,
         from: Address,
         to: Address,
         token: TokenId,
-    ) -> Result<CollectionUndo, NftError> {
+    ) -> Result<OpEvents, NftError> {
         self.can_transfer(from, to, token)?;
-        let undo = self.undo_point(token);
         self.tokens.set_owner(token, to);
         self.tokens.set_approval(token, None);
         self.total_transfers += 1;
-        self.events.push(Erc721Event::Transfer { from, to, token });
-        Ok(undo)
+        Ok(OpEvents::one(Erc721Event::Transfer { from, to, token }))
     }
 
     /// Checks the `approve` constraints without mutating: the token must be
@@ -479,48 +433,26 @@ impl Collection {
         }
     }
 
-    /// Approves `operator` to move `token` (ERC-721 `approve`).
+    /// Approves `operator` to move `token` (ERC-721 `approve`); the zero
+    /// operator clears the approval. Emits an `Approval`.
     ///
     /// # Errors
     ///
-    /// Fails when `owner` does not own the token.
+    /// Fails when `owner` does not own the token; nothing is mutated then.
     pub fn approve(
         &mut self,
         owner: Address,
         operator: Address,
         token: TokenId,
-    ) -> Result<(), NftError> {
-        self.approve_undoable(owner, operator, token).map(drop)
-    }
-
-    /// [`Collection::approve`] that also returns an undo record for the
-    /// journal. Approvals are part of the committed state (they gate
-    /// `transferFrom`), so they ride the same per-token undo machinery as
-    /// mint/transfer/burn.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Collection::approve`]; on error nothing is
-    /// mutated and no undo record is produced.
-    pub fn approve_undoable(
-        &mut self,
-        owner: Address,
-        operator: Address,
-        token: TokenId,
-    ) -> Result<CollectionUndo, NftError> {
+    ) -> Result<OpEvents, NftError> {
         self.can_approve(owner, token)?;
-        let undo = self.undo_point(token);
-        if operator.is_zero() {
-            self.tokens.set_approval(token, None);
-        } else {
-            self.tokens.set_approval(token, Some(operator));
-        }
-        self.events.push(Erc721Event::Approval {
+        let approved = (!operator.is_zero()).then_some(operator);
+        self.tokens.set_approval(token, approved);
+        Ok(OpEvents::one(Erc721Event::Approval {
             owner,
             approved: operator,
             token,
-        });
-        Ok(undo)
+        }))
     }
 
     /// The approved operator for `token`, if any.
@@ -560,52 +492,39 @@ impl Collection {
     ///
     /// # Errors
     ///
-    /// Fails with [`NftError::InvalidOperator`] for a zero or self operator.
+    /// Fails with [`NftError::InvalidOperator`] for a zero or self operator;
+    /// nothing is mutated then.
     pub fn set_approval_for_all(
         &mut self,
         owner: Address,
         operator: Address,
         approved: bool,
-    ) -> Result<(), NftError> {
-        self.set_approval_for_all_undoable(owner, operator, approved)
-            .map(drop)
-    }
-
-    /// [`Collection::set_approval_for_all`] that also returns an undo record
-    /// for the journal.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Collection::set_approval_for_all`]; on error
-    /// nothing is mutated and no undo record is produced.
-    pub fn set_approval_for_all_undoable(
-        &mut self,
-        owner: Address,
-        operator: Address,
-        approved: bool,
-    ) -> Result<OperatorUndo, NftError> {
+    ) -> Result<OpEvents, NftError> {
         self.can_set_approval_for_all(owner, operator)?;
-        let undo = OperatorUndo {
-            owner,
-            operator,
-            prev_approved: self.operators.contains(&(owner, operator)),
-            events_len: self.events.len(),
-        };
         if approved {
             self.operators.insert((owner, operator));
         } else {
             self.operators.remove(&(owner, operator));
         }
-        self.events.push(Erc721Event::ApprovalForAll {
+        Ok(OpEvents::one(Erc721Event::ApprovalForAll {
             owner,
             operator,
             approved,
-        });
-        Ok(undo)
+        }))
     }
 
-    /// Restores the state captured by the `set_approval_for_all_undoable`
-    /// call that produced `undo`. Same LIFO contract as
+    /// Captures the `(owner, operator)` approval flag a
+    /// [`Collection::set_approval_for_all`] is about to change, for the
+    /// journal.
+    pub fn operator_undo_point(&self, owner: Address, operator: Address) -> OperatorUndo {
+        OperatorUndo {
+            owner,
+            operator,
+            prev_approved: self.operators.contains(&(owner, operator)),
+        }
+    }
+
+    /// Restores the flag captured by `undo`. Same LIFO contract as
     /// [`Collection::apply_undo`].
     pub fn apply_operator_undo(&mut self, undo: OperatorUndo) {
         if undo.prev_approved {
@@ -613,7 +532,6 @@ impl Collection {
         } else {
             self.operators.remove(&(undo.owner, undo.operator));
         }
-        self.events.truncate(undo.events_len);
     }
 
     /// `true` when `operator` holds a blanket approval from `owner`
@@ -648,7 +566,7 @@ impl Collection {
         from: Address,
         to: Address,
         token: TokenId,
-    ) -> Result<(), NftError> {
+    ) -> Result<OpEvents, NftError> {
         let authorized = self.is_owner(operator, token)
             || self.get_approved(token) == Some(operator)
             || self
@@ -674,40 +592,26 @@ impl Collection {
     }
 
     /// Burns `token` (paper Eq. 6): the token becomes inactive and the
-    /// mintable supply — hence the price — moves accordingly.
+    /// mintable supply — hence the price — moves accordingly. Emits a
+    /// `Transfer` to the zero address, then a `PriceChanged` if the curve
+    /// moved.
     ///
     /// # Errors
     ///
-    /// Fails when `owner` does not own the token.
-    pub fn burn(&mut self, owner: Address, token: TokenId) -> Result<(), NftError> {
-        self.burn_undoable(owner, token).map(drop)
-    }
-
-    /// [`Collection::burn`] that also returns an undo record for the journal.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Collection::burn`]; on error nothing is
-    /// mutated and no undo record is produced.
-    pub fn burn_undoable(
-        &mut self,
-        owner: Address,
-        token: TokenId,
-    ) -> Result<CollectionUndo, NftError> {
+    /// Fails when `owner` does not own the token; nothing is mutated then.
+    pub fn burn(&mut self, owner: Address, token: TokenId) -> Result<OpEvents, NftError> {
         self.can_burn(owner, token)?;
-        let undo = self.undo_point(token);
         let old_price = self.price();
         self.tokens.remove(token);
         self.listings.remove(&token);
         self.royalties.remove(&token);
         self.total_burns += 1;
-        self.events.push(Erc721Event::Transfer {
+        let transfer = Erc721Event::Transfer {
             from: owner,
             to: Address::ZERO,
             token,
-        });
-        self.push_price_event(old_price);
-        Ok(undo)
+        };
+        Ok(self.with_price_event(transfer, old_price))
     }
 
     /// The open listing for `token`, if any. A listing whose `seller` is no
@@ -769,38 +673,25 @@ impl Collection {
         Ok(())
     }
 
-    /// Lists `token` for secondary sale at `price`.
+    /// Lists `token` for secondary sale at `price`. Emits a `Listed`.
     ///
     /// # Errors
     ///
     /// Fails when `seller` does not own the token, the price is zero, or the
-    /// owner already has a live listing.
-    pub fn list(&mut self, seller: Address, token: TokenId, price: Wei) -> Result<(), NftError> {
-        self.list_undoable(seller, token, price).map(drop)
-    }
-
-    /// [`Collection::list`] that also returns an undo record for the
-    /// journal.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Collection::list`]; on error nothing is
-    /// mutated and no undo record is produced.
-    pub fn list_undoable(
+    /// owner already has a live listing; nothing is mutated then.
+    pub fn list(
         &mut self,
         seller: Address,
         token: TokenId,
         price: Wei,
-    ) -> Result<CollectionUndo, NftError> {
+    ) -> Result<OpEvents, NftError> {
         self.can_list(seller, token, price)?;
-        let undo = self.undo_point(token);
         self.listings.insert(token, Listing { seller, price });
-        self.events.push(Erc721Event::Listed {
+        Ok(OpEvents::one(Erc721Event::Listed {
             seller,
             token,
             price,
-        });
-        Ok(undo)
+        }))
     }
 
     /// Checks the cancel constraints without mutating: a listing must exist
@@ -824,35 +715,19 @@ impl Collection {
         Ok(())
     }
 
-    /// Withdraws the open listing for `token`.
+    /// Withdraws the open listing for `token`. Emits a `ListingCancelled`.
     ///
     /// # Errors
     ///
-    /// Fails when `owner` does not own the token or nothing is listed.
-    pub fn cancel_listing(&mut self, owner: Address, token: TokenId) -> Result<(), NftError> {
-        self.cancel_listing_undoable(owner, token).map(drop)
-    }
-
-    /// [`Collection::cancel_listing`] that also returns an undo record for
-    /// the journal.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Collection::cancel_listing`]; on error
-    /// nothing is mutated and no undo record is produced.
-    pub fn cancel_listing_undoable(
-        &mut self,
-        owner: Address,
-        token: TokenId,
-    ) -> Result<CollectionUndo, NftError> {
+    /// Fails when `owner` does not own the token or nothing is listed;
+    /// nothing is mutated then.
+    pub fn cancel_listing(&mut self, owner: Address, token: TokenId) -> Result<OpEvents, NftError> {
         self.can_cancel_listing(owner, token)?;
-        let undo = self.undo_point(token);
         self.listings.remove(&token);
-        self.events.push(Erc721Event::ListingCancelled {
+        Ok(OpEvents::one(Erc721Event::ListingCancelled {
             seller: owner,
             token,
-        });
-        Ok(undo)
+        }))
     }
 
     /// Checks the purchase constraints without mutating (the ownership half
@@ -887,55 +762,47 @@ impl Collection {
     /// Settles the sale of a listed `token` to `buyer`: ownership moves to
     /// the buyer, any per-token approval clears, the listing is consumed,
     /// and a single [`Erc721Event::Sold`] records the whole move (no
-    /// separate `Transfer` event). Returns how the payment splits; the OVM
-    /// moves the matching wei.
+    /// separate `Transfer` event). The event carries how the payment
+    /// splits — `price`, of which `royalty` goes to the creator and the rest
+    /// to `seller` — and the OVM moves the matching wei.
     ///
     /// # Errors
     ///
     /// Fails when nothing is listed, the listing is stale, or the buyer is
-    /// degenerate.
-    pub fn buy(&mut self, buyer: Address, token: TokenId) -> Result<SaleSettlement, NftError> {
-        self.buy_undoable(buyer, token).map(|(_, s)| s)
-    }
-
-    /// [`Collection::buy`] that also returns an undo record for the journal.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Collection::buy`]; on error nothing is
-    /// mutated and no undo record is produced.
-    pub fn buy_undoable(
-        &mut self,
-        buyer: Address,
-        token: TokenId,
-    ) -> Result<(CollectionUndo, SaleSettlement), NftError> {
+    /// degenerate; nothing is mutated then.
+    pub fn buy(&mut self, buyer: Address, token: TokenId) -> Result<OpEvents, NftError> {
         self.can_buy(buyer, token)?;
-        let undo = self.undo_point(token);
         let listing = self.listings.remove(&token).expect("can_buy checked");
         let royalty = self.royalty_amount(token, listing.price);
         self.tokens.set_owner(token, buyer);
         self.tokens.set_approval(token, None);
         self.total_transfers += 1;
-        self.events.push(Erc721Event::Sold {
+        Ok(OpEvents::one(Erc721Event::Sold {
             seller: listing.seller,
             buyer,
             token,
             price: listing.price,
             royalty,
-        });
-        Ok((
-            undo,
-            SaleSettlement {
-                seller: listing.seller,
-                price: listing.price,
-                royalty,
-            },
-        ))
+        }))
     }
 
-    /// Restores the state captured by the `*_undoable` operation that
-    /// produced `undo`. Records must be applied in LIFO order against the
-    /// same collection; anything else reconstructs garbage.
+    /// Captures everything a per-token operation on `token` can mutate, for
+    /// the journal. Take it *before* the operation; if the operation fails,
+    /// discard it.
+    pub fn undo_point(&self, token: TokenId) -> CollectionUndo {
+        CollectionUndo {
+            token,
+            prev_owner: self.tokens.owner_of(token),
+            prev_approval: self.tokens.approved(token),
+            prev_listing: self.listings.get(&token).copied(),
+            prev_royalty: self.royalties.get(&token).copied(),
+            prev_counts: (self.total_mints, self.total_transfers, self.total_burns),
+        }
+    }
+
+    /// Restores the state captured by `undo`. Records must be applied in
+    /// LIFO order against the same collection; anything else reconstructs
+    /// garbage.
     pub fn apply_undo(&mut self, undo: CollectionUndo) {
         match undo.prev_owner {
             Some(owner) => {
@@ -956,20 +823,7 @@ impl Collection {
             Some(bps) => self.royalties.insert(undo.token, bps),
             None => self.royalties.remove(&undo.token),
         };
-        self.events.truncate(undo.events_len);
         (self.total_mints, self.total_transfers, self.total_burns) = undo.prev_counts;
-    }
-
-    fn undo_point(&self, token: TokenId) -> CollectionUndo {
-        CollectionUndo {
-            token,
-            prev_owner: self.tokens.owner_of(token),
-            prev_approval: self.tokens.approved(token),
-            prev_listing: self.listings.get(&token).copied(),
-            prev_royalty: self.royalties.get(&token).copied(),
-            events_len: self.events.len(),
-            prev_counts: (self.total_mints, self.total_transfers, self.total_burns),
-        }
     }
 
     /// The market valuation of `who`'s holdings at the current price:
@@ -979,23 +833,27 @@ impl Collection {
         self.price().mul_count(self.balance_of(who))
     }
 
-    fn push_price_event(&mut self, old_price: Wei) {
+    /// `event`, followed by a `PriceChanged` if the curve moved away from
+    /// `old_price` (mints and burns).
+    fn with_price_event(&self, event: Erc721Event, old_price: Wei) -> OpEvents {
+        let mut events = OpEvents::one(event);
         let new_price = self.price();
         if new_price != old_price {
-            self.events.push(Erc721Event::PriceChanged {
+            events.push(Erc721Event::PriceChanged {
                 old_price,
                 new_price,
                 remaining_supply: self.remaining_supply(),
             });
         }
+        events
     }
 }
 
 impl PartialEq for Collection {
     /// Content equality, independent of the token-table backend: two
     /// collections are equal iff they have the same config, the same active
-    /// `(token, owner)` and `(token, operator)` sets, the same event log and
-    /// the same lifetime counters. This is what the undo-path tests (and the
+    /// `(token, owner)` and `(token, operator)` sets, the same operator,
+    /// listing and royalty maps and the same lifetime counters. This is what the undo-path tests (and the
     /// state journal's revert assertions) rely on.
     fn eq(&self, other: &Self) -> bool {
         self.config == other.config
@@ -1007,7 +865,6 @@ impl PartialEq for Collection {
             && self.operators == other.operators
             && self.listings == other.listings
             && self.royalties == other.royalties
-            && self.events == other.events
             && self.tokens.iter().eq(other.tokens.iter())
             && self
                 .tokens
@@ -1019,9 +876,9 @@ impl PartialEq for Collection {
 impl Eq for Collection {}
 
 impl Serialize for Collection {
-    /// Serializes to the exact shape the pre-arena derive produced — a
-    /// struct map with `owners` / `approvals` entries in token-id order — so
-    /// artifacts round-trip across backends (and across this PR).
+    /// Serializes live state only, as a struct map with `owners` /
+    /// `approvals` entries in token-id order, so artifacts round-trip
+    /// across backends.
     fn to_value(&self) -> Value {
         let owners: Vec<(Value, Value)> = self
             .tokens
@@ -1055,7 +912,6 @@ impl Serialize for Collection {
             (Value::Str("operators".to_string()), Value::Seq(operators)),
             (Value::Str("listings".to_string()), Value::Map(listings)),
             (Value::Str("royalties".to_string()), Value::Map(royalties)),
-            (Value::Str("events".to_string()), self.events.to_value()),
             (
                 Value::Str("total_mints".to_string()),
                 self.total_mints.to_value(),
@@ -1090,7 +946,8 @@ fn struct_field<'v>(value: &'v Value, name: &str) -> Result<&'v Value, DeError> 
 impl Deserialize for Collection {
     /// Rebuilds on the process-default backend; content equality is
     /// backend-independent, so round-trips compare equal regardless of the
-    /// layout the serializer used.
+    /// layout the serializer used. An `events` field left by artifacts
+    /// from before collections stopped keeping event history is ignored.
     fn from_value(value: &Value) -> Result<Self, DeError> {
         let config = CollectionConfig::from_value(struct_field(value, "config")?)?;
         let owners = BTreeMap::<TokenId, Address>::from_value(struct_field(value, "owners")?)?;
@@ -1136,7 +993,6 @@ impl Deserialize for Collection {
             Ok(field) => BTreeMap::<TokenId, u16>::from_value(field)?,
             Err(_) => BTreeMap::new(),
         };
-        let events = Vec::<Erc721Event>::from_value(struct_field(value, "events")?)?;
         let total_mints = u64::from_value(struct_field(value, "total_mints")?)?;
         let total_transfers = u64::from_value(struct_field(value, "total_transfers")?)?;
         let total_burns = u64::from_value(struct_field(value, "total_burns")?)?;
@@ -1153,7 +1009,6 @@ impl Deserialize for Collection {
             operators,
             listings,
             royalties,
-            events,
             total_mints,
             total_transfers,
             total_burns,
@@ -1191,6 +1046,31 @@ mod tests {
     fn mint_n(c: &mut Collection, n: u64, owner: Address) {
         for i in 0..n {
             c.mint(owner, TokenId::new(i)).unwrap();
+        }
+    }
+
+    /// Runs a per-token operation the way the state journal does: undo
+    /// point first, then the operation, which must succeed.
+    fn journaled(
+        c: &mut Collection,
+        token: TokenId,
+        op: impl FnOnce(&mut Collection) -> Result<OpEvents, NftError>,
+    ) -> CollectionUndo {
+        let undo = c.undo_point(token);
+        op(c).unwrap();
+        undo
+    }
+
+    /// The `(seller, price, royalty)` split of a sale's single `Sold` event.
+    fn sale_split(events: OpEvents) -> (Address, Wei, Wei) {
+        match *events {
+            [Erc721Event::Sold {
+                seller,
+                price,
+                royalty,
+                ..
+            }] => (seller, price, royalty),
+            ref other => panic!("expected one Sold event, got {other:?}"),
         }
     }
 
@@ -1354,19 +1234,20 @@ mod tests {
 
     #[test]
     fn event_log_replays_to_ownership_map() {
+        // The returned events, concatenated, are the collection's log.
         let mut c = pt();
-        c.mint(addr(1), TokenId::new(0)).unwrap();
-        c.mint(addr(2), TokenId::new(1)).unwrap();
-        c.transfer(addr(1), addr(3), TokenId::new(0)).unwrap();
-        c.burn(addr(2), TokenId::new(1)).unwrap();
+        let mut log = Vec::new();
+        log.extend_from_slice(&c.mint(addr(1), TokenId::new(0)).unwrap());
+        log.extend_from_slice(&c.mint(addr(2), TokenId::new(1)).unwrap());
+        log.extend_from_slice(&c.transfer(addr(1), addr(3), TokenId::new(0)).unwrap());
+        log.extend_from_slice(&c.burn(addr(2), TokenId::new(1)).unwrap());
 
         let mut replay: BTreeMap<TokenId, Address> = BTreeMap::new();
-        for ev in c.events() {
-            if let Erc721Event::Transfer { from, to, token } = ev {
+        for ev in &log {
+            if let Erc721Event::Transfer { to, token, .. } = ev {
                 if to.is_zero() {
                     replay.remove(token);
                 } else {
-                    let _ = from;
                     replay.insert(*token, *to);
                 }
             }
@@ -1377,16 +1258,21 @@ mod tests {
 
     #[test]
     fn price_events_emitted_on_mint_and_burn_only() {
+        let is_price = |e: &Erc721Event| matches!(e, Erc721Event::PriceChanged { .. });
         let mut c = pt();
-        c.mint(addr(1), TokenId::new(0)).unwrap();
-        c.transfer(addr(1), addr(2), TokenId::new(0)).unwrap();
-        c.burn(addr(2), TokenId::new(0)).unwrap();
-        let price_events: Vec<_> = c
-            .events()
-            .iter()
-            .filter(|e| matches!(e, Erc721Event::PriceChanged { .. }))
-            .collect();
-        assert_eq!(price_events.len(), 2);
+        let mint = c.mint(addr(1), TokenId::new(0)).unwrap();
+        assert!(mint[0].is_mint() && is_price(&mint[1]) && mint.len() == 2);
+        let transfer = c.transfer(addr(1), addr(2), TokenId::new(0)).unwrap();
+        assert!(!transfer.iter().any(is_price));
+        let burn = c.burn(addr(2), TokenId::new(0)).unwrap();
+        assert!(burn[0].is_burn() && is_price(&burn[1]) && burn.len() == 2);
+
+        // A mint the quantized curve absorbs emits no PriceChanged.
+        let mut wide = Collection::new(CollectionConfig::limited_edition("W", 1000, 1));
+        let price = wide.price();
+        let mint = wide.mint(addr(1), TokenId::new(0)).unwrap();
+        assert_eq!(wide.price(), price);
+        assert_eq!(mint.len(), 1);
     }
 
     #[test]
@@ -1414,13 +1300,17 @@ mod tests {
         c.approve(addr(1), addr(9), TokenId::new(2)).unwrap();
         let before = c.clone();
 
-        // A LIFO stack of undoable operations, including a transfer that
+        // A LIFO stack of journaled operations, including a transfer that
         // clears an approval and a burn.
-        let u1 = c.mint_undoable(addr(2), TokenId::new(5)).unwrap();
-        let u2 = c
-            .transfer_undoable(addr(1), addr(3), TokenId::new(2))
-            .unwrap();
-        let u3 = c.burn_undoable(addr(1), TokenId::new(0)).unwrap();
+        let u1 = journaled(&mut c, TokenId::new(5), |c| {
+            c.mint(addr(2), TokenId::new(5))
+        });
+        let u2 = journaled(&mut c, TokenId::new(2), |c| {
+            c.transfer(addr(1), addr(3), TokenId::new(2))
+        });
+        let u3 = journaled(&mut c, TokenId::new(0), |c| {
+            c.burn(addr(1), TokenId::new(0))
+        });
         assert_ne!(c, before);
 
         c.apply_undo(u3);
@@ -1437,15 +1327,15 @@ mod tests {
         c.approve(addr(1), addr(8), TokenId::new(0)).unwrap();
         let before = c.clone();
 
-        let u1 = c
-            .approve_undoable(addr(1), addr(9), TokenId::new(0))
-            .unwrap();
+        let u1 = journaled(&mut c, TokenId::new(0), |c| {
+            c.approve(addr(1), addr(9), TokenId::new(0))
+        });
         assert_eq!(u1.token(), TokenId::new(0));
         assert_eq!(c.get_approved(TokenId::new(0)), Some(addr(9)));
-        // Clearing via the zero operator is an undoable mutation too.
-        let u2 = c
-            .approve_undoable(addr(1), Address::ZERO, TokenId::new(0))
-            .unwrap();
+        // Clearing via the zero operator is a journaled mutation too.
+        let u2 = journaled(&mut c, TokenId::new(0), |c| {
+            c.approve(addr(1), Address::ZERO, TokenId::new(0))
+        });
         assert_eq!(c.get_approved(TokenId::new(0)), None);
 
         c.apply_undo(u2);
@@ -1473,11 +1363,9 @@ mod tests {
         let mut c = pt();
         c.mint(addr(1), TokenId::new(0)).unwrap();
         let before = c.clone();
-        assert!(c.mint_undoable(addr(2), TokenId::new(0)).is_err());
-        assert!(c
-            .transfer_undoable(addr(2), addr(3), TokenId::new(0))
-            .is_err());
-        assert!(c.burn_undoable(addr(2), TokenId::new(0)).is_err());
+        assert!(c.mint(addr(2), TokenId::new(0)).is_err());
+        assert!(c.transfer(addr(2), addr(3), TokenId::new(0)).is_err());
+        assert!(c.burn(addr(2), TokenId::new(0)).is_err());
         assert_eq!(c, before);
     }
 
@@ -1501,14 +1389,16 @@ mod tests {
                 token: TokenId::new(0)
             })
         );
-        c.set_approval_for_all(addr(1), addr(9), false).unwrap();
+        let revoke = c.set_approval_for_all(addr(1), addr(9), false).unwrap();
         assert!(!c.is_approved_for_all(addr(1), addr(9)));
-        let afa_events: Vec<_> = c
-            .events()
-            .iter()
-            .filter(|e| matches!(e, Erc721Event::ApprovalForAll { .. }))
-            .collect();
-        assert_eq!(afa_events.len(), 2);
+        assert_eq!(
+            *revoke,
+            [Erc721Event::ApprovalForAll {
+                owner: addr(1),
+                operator: addr(9),
+                approved: false
+            }]
+        );
     }
 
     #[test]
@@ -1528,11 +1418,7 @@ mod tests {
                 operator: addr(1)
             })
         );
-        let before = c.clone();
-        assert!(c
-            .set_approval_for_all_undoable(addr(1), addr(1), true)
-            .is_err());
-        assert_eq!(c, before);
+        assert_eq!(c, pt());
     }
 
     #[test]
@@ -1542,17 +1428,17 @@ mod tests {
         c.set_approval_for_all(addr(1), addr(8), true).unwrap();
         let before = c.clone();
 
-        let u1 = c
-            .set_approval_for_all_undoable(addr(1), addr(9), true)
-            .unwrap();
-        let u2 = c
-            .set_approval_for_all_undoable(addr(1), addr(8), false)
-            .unwrap();
+        let grant = |c: &mut Collection, operator: Address, approved: bool| {
+            let undo = c.operator_undo_point(addr(1), operator);
+            let events = c.set_approval_for_all(addr(1), operator, approved);
+            assert_eq!(events.unwrap().len(), 1);
+            undo
+        };
+        let u1 = grant(&mut c, addr(9), true);
+        let u2 = grant(&mut c, addr(8), false);
         // Re-granting an existing pair is a journaled no-op on the set but
-        // still appends an event.
-        let u3 = c
-            .set_approval_for_all_undoable(addr(1), addr(9), true)
-            .unwrap();
+        // still emits an event.
+        let u3 = grant(&mut c, addr(9), true);
         assert_ne!(c, before);
 
         c.apply_operator_undo(u3);
@@ -1599,11 +1485,9 @@ mod tests {
         assert_eq!(c.listing_of(TokenId::new(0)), None);
         c.list(addr(1), TokenId::new(0), price).unwrap();
 
-        let sale = c.buy(addr(2), TokenId::new(0)).unwrap();
+        let sale = sale_split(c.buy(addr(2), TokenId::new(0)).unwrap());
         // PT royalty is 500 bps: 5% of 0.9 ETH.
-        assert_eq!(sale.seller, addr(1));
-        assert_eq!(sale.price, price);
-        assert_eq!(sale.royalty, Wei::from_milli_eth(45));
+        assert_eq!(sale, (addr(1), price, Wei::from_milli_eth(45)));
         assert_eq!(c.owner_of(TokenId::new(0)), Some(addr(2)));
         assert_eq!(c.listing_of(TokenId::new(0)), None);
         // The sale counts as a transfer in the lifetime ledger.
@@ -1660,9 +1544,8 @@ mod tests {
         // overwrite it with a fresh listing directly.
         assert!(c.cancel_listing(addr(1), TokenId::new(0)).is_err());
         c.list(addr(2), TokenId::new(0), Wei::from_eth(2)).unwrap();
-        let sale = c.buy(addr(3), TokenId::new(0)).unwrap();
-        assert_eq!(sale.seller, addr(2));
-        assert_eq!(sale.price, Wei::from_eth(2));
+        let (seller, price, _) = sale_split(c.buy(addr(3), TokenId::new(0)).unwrap());
+        assert_eq!((seller, price), (addr(2), Wei::from_eth(2)));
     }
 
     #[test]
@@ -1670,10 +1553,7 @@ mod tests {
         let mut c = pt();
         c.mint(addr(1), TokenId::new(0)).unwrap();
         c.list(addr(1), TokenId::new(0), Wei::from_eth(1)).unwrap();
-        assert_eq!(
-            c.buy(addr(1), TokenId::new(0)),
-            Err(NftError::SelfTransfer)
-        );
+        assert_eq!(c.buy(addr(1), TokenId::new(0)), Err(NftError::SelfTransfer));
         assert_eq!(
             c.buy(Address::ZERO, TokenId::new(0)),
             Err(NftError::TransferToZero)
@@ -1698,10 +1578,10 @@ mod tests {
         // An awkward price that does not divide evenly by the bps.
         let price = Wei::from_wei(1_000_000_000_000_000_001);
         c.list(addr(1), TokenId::new(0), price).unwrap();
-        let sale = c.buy(addr(2), TokenId::new(0)).unwrap();
-        let seller_cut = sale.price.checked_sub(sale.royalty).unwrap();
-        assert_eq!(seller_cut.checked_add(sale.royalty).unwrap(), price);
-        assert_eq!(sale.royalty, Wei::from_wei(price.wei() * 500 / 10_000));
+        let (_, sale_price, royalty) = sale_split(c.buy(addr(2), TokenId::new(0)).unwrap());
+        let seller_cut = sale_price.checked_sub(royalty).unwrap();
+        assert_eq!(seller_cut.checked_add(royalty).unwrap(), price);
+        assert_eq!(royalty, Wei::from_wei(price.wei() * 500 / 10_000));
     }
 
     #[test]
@@ -1712,13 +1592,13 @@ mod tests {
         c.list(addr(1), TokenId::new(1), Wei::from_eth(1)).unwrap();
         let before = c.clone();
 
-        let u1 = c
-            .list_undoable(addr(1), TokenId::new(0), Wei::from_eth(3))
-            .unwrap();
-        let (u2, _) = c.buy_undoable(addr(2), TokenId::new(0)).unwrap();
-        let u3 = c
-            .cancel_listing_undoable(addr(1), TokenId::new(1))
-            .unwrap();
+        let u1 = journaled(&mut c, TokenId::new(0), |c| {
+            c.list(addr(1), TokenId::new(0), Wei::from_eth(3))
+        });
+        let u2 = journaled(&mut c, TokenId::new(0), |c| c.buy(addr(2), TokenId::new(0)));
+        let u3 = journaled(&mut c, TokenId::new(1), |c| {
+            c.cancel_listing(addr(1), TokenId::new(1))
+        });
         assert_ne!(c, before);
 
         c.apply_undo(u3);
@@ -1741,11 +1621,9 @@ mod tests {
         let mut c = pt();
         c.mint(addr(1), TokenId::new(0)).unwrap();
         let before = c.clone();
-        assert!(c
-            .list_undoable(addr(2), TokenId::new(0), Wei::from_eth(1))
-            .is_err());
-        assert!(c.cancel_listing_undoable(addr(1), TokenId::new(0)).is_err());
-        assert!(c.buy_undoable(addr(2), TokenId::new(0)).is_err());
+        assert!(c.list(addr(2), TokenId::new(0), Wei::from_eth(1)).is_err());
+        assert!(c.cancel_listing(addr(1), TokenId::new(0)).is_err());
+        assert!(c.buy(addr(2), TokenId::new(0)).is_err());
         assert_eq!(c, before);
     }
 

@@ -1,10 +1,13 @@
-//! ERC-721 event log entries.
+//! ERC-721 events and the per-operation event list.
 
 use parole_primitives::{Address, TokenId, Wei};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Deref;
 
-/// An entry in a collection's append-only event log.
+/// An event a collection operation emits. Collections keep no event
+/// history: each operation returns its events ([`OpEvents`]) and the OVM
+/// records them in the transaction's receipt.
 ///
 /// Mirrors the ERC-721 standard events (`Transfer`, `Approval`) with the
 /// convention that mints are transfers *from* the zero address and burns are
@@ -94,6 +97,51 @@ impl Erc721Event {
     /// `true` for a `Transfer` event that represents a burn.
     pub fn is_burn(&self) -> bool {
         matches!(self, Erc721Event::Transfer { to, .. } if to.is_zero())
+    }
+}
+
+/// The events one successful collection operation emitted, in emission
+/// order; dereferences to `[Erc721Event]`.
+///
+/// An operation emits at most two events: its ERC-721 event, then a
+/// [`Erc721Event::PriceChanged`] when a mint or burn moved the curve. They
+/// are held inline, so returning them costs no heap allocation.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct OpEvents {
+    /// Slot 1 repeats slot 0 until a second event is pushed, so the derived
+    /// equality compares exactly the held events.
+    buf: [Erc721Event; 2],
+    len: u8,
+}
+
+impl OpEvents {
+    /// A list holding just `event`.
+    pub(crate) fn one(event: Erc721Event) -> Self {
+        OpEvents {
+            buf: [event; 2],
+            len: 1,
+        }
+    }
+
+    /// Appends the second event.
+    pub(crate) fn push(&mut self, event: Erc721Event) {
+        assert!(self.len < 2, "an operation emits at most two events");
+        self.buf[self.len as usize] = event;
+        self.len += 1;
+    }
+}
+
+impl Deref for OpEvents {
+    type Target = [Erc721Event];
+
+    fn deref(&self) -> &[Erc721Event] {
+        &self.buf[..self.len as usize]
+    }
+}
+
+impl fmt::Debug for OpEvents {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 

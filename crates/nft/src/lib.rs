@@ -5,8 +5,8 @@
 //!
 //! A [`Collection`] owns the full ERC-721 state machine: token ownership,
 //! approvals, the mint / transfer / burn operations with the constraint
-//! semantics of the paper's Eq. 1–6, an append-only [`Erc721Event`] log, and
-//! the scarcity bonding curve of Eq. 10:
+//! semantics of the paper's Eq. 1–6 (each returning the [`Erc721Event`]s it
+//! emitted), and the scarcity bonding curve of Eq. 10:
 //!
 //! ```text
 //! P^t = S^0 / S^t × P^0
@@ -44,9 +44,8 @@ mod event;
 mod token_table;
 
 pub use collection::{
-    Collection, CollectionConfig, CollectionUndo, Listing, OperatorUndo, SaleSettlement,
-    ROYALTY_BPS_DENOM,
+    Collection, CollectionConfig, CollectionUndo, Listing, OperatorUndo, ROYALTY_BPS_DENOM,
 };
 pub use error::NftError;
-pub use event::Erc721Event;
+pub use event::{Erc721Event, OpEvents};
 pub use token_table::{TokenRec, TokenTable};

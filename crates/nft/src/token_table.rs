@@ -10,8 +10,8 @@
 //! Encoding note: the flat record stores "no approval" as [`Address::ZERO`].
 //! This cannot collide with a real operator because ERC-721 semantics treat
 //! approving the zero address as *clearing* the approval (and
-//! `Collection::approve_undoable` enforces exactly that), so a stored
-//! approval is always non-zero. Both backends therefore expose the same
+//! `Collection::approve` enforces exactly that), so a stored approval is
+//! always non-zero. Both backends therefore expose the same
 //! `Option<Address>` view, iterate in token-id order, and commit to
 //! byte-identical preimages.
 

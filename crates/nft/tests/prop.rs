@@ -1,6 +1,6 @@
 //! Property-based tests for the limited-edition ERC-721 state machine.
 
-use parole_nft::{Collection, CollectionConfig, NftError};
+use parole_nft::{Collection, CollectionConfig, NftError, OpEvents};
 use parole_primitives::{Address, TokenId, Wei};
 use proptest::prelude::*;
 
@@ -36,7 +36,7 @@ proptest! {
         let mut c = Collection::new(config);
         for op in ops {
             let before = c.clone();
-            let result: Result<(), NftError> = match op {
+            let result: Result<OpEvents, NftError> = match op {
                 Op::Mint { to, token } => {
                     c.mint(Address::from_low_u64(to + 1), TokenId::new(token))
                 }

@@ -1,4 +1,9 @@
 //! The OVM execution engine.
+//!
+//! [`Ovm::execute`] runs each transaction's one [`crate::OpSpec::apply`]
+//! body and builds the receipt's logs from the events that body returns;
+//! the parallel scheduler's clean commit ([`Ovm::apply_validated`]) re-runs
+//! the same body, so no operation has a second implementation here.
 
 use crate::logs::{Bloom, EventKind, LogEntry};
 use crate::{GasSchedule, NftTransaction, Receipt, RevertReason, TxStatus};
@@ -140,27 +145,20 @@ impl Ovm {
             );
         }
 
-        // Event capture brackets the operation: the collection's event log
-        // is journaled with the rest of its state, so a reverted operation
-        // leaves the high-water mark where it was and the slice below is
-        // empty. The length probe records no read — receipts are execution
-        // outputs, not state the OCC scheduler needs to serialize on.
-        let collection_addr = tx.kind.collection();
-        let events_start = state.collection_events_len(collection_addr).unwrap_or(0);
-        let status = self.apply_operation(state, tx, price_before);
-        let logs: Vec<LogEntry> = state
-            .collection_events_since(collection_addr, events_start)
-            .map(|events| {
+        // The operation itself, dispatched through the kind's `OpSpec`. Its
+        // logs are the events it returns; a revert emits none.
+        let collection = tx.kind.collection();
+        let (status, logs) = match (tx.kind.spec().apply)(state, tx, price_before) {
+            Ok(events) => (
+                TxStatus::Executed,
                 events
                     .iter()
-                    .map(|&event| LogEntry {
-                        collection: collection_addr,
-                        event,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        let price_after = state.collection_price(collection_addr).unwrap_or(Wei::ZERO);
+                    .map(|&event| LogEntry { collection, event })
+                    .collect(),
+            ),
+            Err(reason) => (TxStatus::Reverted(reason), Vec::new()),
+        };
+        let price_after = state.collection_price(collection).unwrap_or(Wei::ZERO);
         // The spec's event declaration is load-bearing (the audit replay
         // oracle and log index trust it), so enforce it at the source: an
         // operation may only emit event kinds its `OpSpec` declares.
@@ -204,46 +202,29 @@ impl Ovm {
         }
     }
 
-    /// Applies the NFT operation itself; returns the resulting status.
-    ///
-    /// Dispatches through the kind's [`crate::OpSpec`] — each operation's
-    /// semantics live in one `apply_*` function in `crate::opspec`, next to
-    /// the conflict footprint and event declaration they must agree with.
-    /// Every body reads through the granular [`L2State`] constraint helpers
-    /// (`nft_can_mint` / `nft_can_transfer` / …, `collection_creator`)
-    /// rather than the coarse `collection()` accessor, so the read set
-    /// recorded during speculative execution is exactly token- or
-    /// header-granular — the precision the parallel scheduler's conflict
-    /// detection depends on. A missing collection surfaces through the same
-    /// helpers as [`RevertReason::NoSuchCollection`].
-    fn apply_operation(&self, state: &mut L2State, tx: &NftTransaction, price: Wei) -> TxStatus {
-        (tx.kind.spec().apply)(state, tx, price)
-    }
-
-    /// Commits the effects of an already-validated speculative execution of
-    /// `tx` without re-running signature verification, hashing, or
-    /// constraint checks — the parallel scheduler's cheap commit path.
+    /// Commits an already-validated speculative execution of `tx` — the
+    /// parallel scheduler's clean-commit path. It skips signature
+    /// verification and receipt hashing, and re-runs the operation's one
+    /// [`crate::OpSpec::apply`] body.
     ///
     /// Soundness contract (upheld by `crate::parallel`): `receipt` came
     /// from executing `tx` against a state in which every record `tx` read
     /// or wrote held exactly the value it holds in `state` now. Under that
-    /// premise the serial execution of `tx` here would retrace the
-    /// speculative run step for step, so its effects can be replayed from
-    /// the receipt alone:
+    /// premise the serial execution of `tx` here retraces the speculative
+    /// run step for step:
     ///
     /// - the claimed sender's nonce is consumed (uniform rule, any status);
     /// - `fee_paid` is burned from the sender (it is zero exactly on the
     ///   paths where no debit happened);
-    /// - on success, the operation's transfers and token mutation are
-    ///   applied with `price_before` as the payment amount (the price the
-    ///   payer was charged — and for mints/burns the supply movement
-    ///   reprices the curve identically to the speculative run).
+    /// - on success, `apply` re-runs with the receipt's `price_before` (the
+    ///   price the payer was charged) and emits exactly the receipt's logs.
     ///
     /// # Panics
     ///
-    /// Panics if the premise is violated (a debit no longer covered, a
-    /// token op no longer valid): that is a scheduler bug, not a user
-    /// error, and must not be silently absorbed.
+    /// Panics, naming the transaction hash, if the premise is violated (a
+    /// fee no longer covered, an operation that now reverts or emits other
+    /// events): that is a scheduler bug, not a user error, and must not be
+    /// silently absorbed.
     pub(crate) fn apply_validated(
         &self,
         state: &mut L2State,
@@ -252,14 +233,28 @@ impl Ovm {
     ) {
         state.bump_nonce(tx.sender);
         if receipt.fee_paid > Wei::ZERO {
-            state
-                .debit(tx.sender, receipt.fee_paid)
-                .expect("validated speculation: fee was covered");
+            if let Err(e) = state.debit(tx.sender, receipt.fee_paid) {
+                panic!(
+                    "validated speculation of tx {} no longer holds: {e}",
+                    receipt.tx_hash
+                );
+            }
         }
         if !receipt.is_success() {
             return;
         }
-        (tx.kind.spec().commit)(state, tx, receipt);
+        let collection = tx.kind.collection();
+        let replayed = (tx.kind.spec().apply)(state, tx, receipt.price_before);
+        assert!(
+            replayed.as_ref().is_ok_and(|events| {
+                let logs = events.iter().map(|&event| LogEntry { collection, event });
+                receipt.logs.iter().copied().eq(logs)
+            }),
+            "validated speculation of tx {} no longer holds: apply returned {replayed:?}, \
+             the speculative receipt logged {:?}",
+            receipt.tx_hash,
+            receipt.logs
+        );
     }
 
     /// Executes a whole sequence in order, committing to `state`.
@@ -821,7 +816,9 @@ mod tests {
         );
         assert!(ovm().execute(&mut state, &approve).is_success());
         ovm().execute(&mut state, &list_tx(ifu, pt, 0, Wei::from_eth(1)));
-        assert!(ovm().execute(&mut state, &buy_tx(buyer, pt, 0)).is_success());
+        assert!(ovm()
+            .execute(&mut state, &buy_tx(buyer, pt, 0))
+            .is_success());
         assert_eq!(
             state.collection(pt).unwrap().get_approved(TokenId::new(0)),
             None,
@@ -847,7 +844,9 @@ mod tests {
         let buyer = addr(11);
         state.credit(buyer, Wei::from_eth(2));
         assert_eq!(
-            ovm().execute(&mut state, &buy_tx(buyer, pt, 0)).revert_reason(),
+            ovm()
+                .execute(&mut state, &buy_tx(buyer, pt, 0))
+                .revert_reason(),
             Some(RevertReason::NotListed)
         );
     }
@@ -929,6 +928,50 @@ mod tests {
         assert!(run(&mut state, &cancel_stale).is_success());
         assert!(run(&mut state, &list_tx(addr(1), pt, 0, Wei::from_eth(1))).is_success());
         assert!(run(&mut state, &buy_tx(buyer, pt, 0)).is_success());
+    }
+
+    /// Operations with no net effect leave every collection equal to, and
+    /// serializing identically to, its pre-state: the events they emitted
+    /// live in their receipts, not in the collection.
+    #[test]
+    fn nil_net_effect_ops_leave_collections_unchanged() {
+        use serde::Serialize;
+
+        let (mut state, pt, ifu) = case_study_state();
+        let pre: Vec<_> = state.collections().map(|(_, c)| c.clone()).collect();
+        let op = |kind| NftTransaction::simple(ifu, kind);
+        let toggle = |approved| {
+            op(TxKind::SetApprovalForAll {
+                collection: pt,
+                operator: addr(7),
+                approved,
+            })
+        };
+        let approve = |operator| {
+            op(TxKind::Approve {
+                collection: pt,
+                token: TokenId::new(1),
+                operator,
+            })
+        };
+        let mut txs = Vec::new();
+        for _ in 0..3 {
+            txs.extend([toggle(true), toggle(false)]);
+        }
+        txs.push(list_tx(ifu, pt, 0, Wei::from_eth(1)));
+        txs.push(op(TxKind::CancelListing {
+            collection: pt,
+            token: TokenId::new(0),
+        }));
+        txs.extend([approve(addr(7)), approve(Address::ZERO)]);
+
+        let receipts = ovm().execute_sequence(&mut state, &txs);
+        assert!(receipts.iter().all(|r| r.is_success() && r.logs.len() == 1));
+        let post: Vec<_> = state.collections().map(|(_, c)| c.clone()).collect();
+        assert_eq!(post, pre);
+        let values =
+            |cs: &[parole_nft::Collection]| cs.iter().map(|c| c.to_value()).collect::<Vec<_>>();
+        assert_eq!(values(&post), values(&pre));
     }
 
     #[test]

@@ -56,10 +56,10 @@ mod tx;
 
 pub use executor::{Ovm, OvmConfig};
 pub use gas::GasSchedule;
-pub use opspec::{LedgerDelta, OpSpec, WriteDomain};
 pub use logs::{
     BlockLogs, Bloom, EventKind, LogEntry, LogFilter, LogHit, LogIndex, ReceiptLogs, BLOOM_BYTES,
 };
+pub use opspec::{LedgerDelta, OpSpec, WriteDomain};
 pub use parallel::{ParallelExecutor, ParallelStats};
 pub use prefix::{PrefixExecutor, PrefixStats};
 pub use receipt::{Receipt, RevertReason, TxStatus};

@@ -25,14 +25,16 @@
 //!   so only the static write side lives here);
 //! - ledger movement: the [`LedgerDelta`] the conservation auditor holds
 //!   the post-state to;
-//! - semantics: the serial [`OpSpec::apply`] body and the validated-commit
-//!   [`OpSpec::commit`] replay the parallel scheduler's cheap path uses.
+//! - semantics: the one [`OpSpec::apply`] body — constraint checks, the
+//!   mutation, and the events it emitted as its return value. Serial
+//!   execution runs it, and so does the parallel scheduler's clean commit,
+//!   which re-runs it under its validation premise.
 
 use crate::logs::EventKind;
-use crate::{GasSchedule, NftTransaction, Receipt, RevertReason, TxKind, TxStatus};
-use parole_nft::{Erc721Event, NftError};
+use crate::{GasSchedule, NftTransaction, Receipt, RevertReason, TxKind};
+use parole_nft::{Erc721Event, NftError, OpEvents};
 use parole_primitives::{Gas, Wei};
-use parole_state::{L2State, RecordKey};
+use parole_state::{L2State, RecordKey, StateError};
 use std::collections::BTreeSet;
 
 /// An abstract record a successful operation writes, resolved to concrete
@@ -105,12 +107,10 @@ pub struct OpSpec {
     /// Token-ledger movement of a successful execution.
     pub ledger: LedgerDelta,
     /// The operation body: full constraint checks against `state`, then
-    /// the mutation. `price` is the bonding-curve price observed before
-    /// execution (`P^{t-1}`).
-    pub apply: fn(&mut L2State, &NftTransaction, Wei) -> TxStatus,
-    /// The validated-commit replay: re-applies a successful speculative
-    /// execution from its receipt without re-checking constraints.
-    pub commit: fn(&mut L2State, &NftTransaction, &Receipt),
+    /// the mutation. Returns the events the operation emitted, or why it
+    /// reverted (having mutated nothing). `price` is the bonding-curve
+    /// price observed before execution (`P^{t-1}`).
+    pub apply: fn(&mut L2State, &NftTransaction, Wei) -> Result<OpEvents, RevertReason>,
 }
 
 impl TxKind {
@@ -166,7 +166,6 @@ static MINT: OpSpec = OpSpec {
         ..LedgerDelta::NONE
     },
     apply: apply_mint,
-    commit: commit_mint,
 };
 
 static TRANSFER: OpSpec = OpSpec {
@@ -181,7 +180,6 @@ static TRANSFER: OpSpec = OpSpec {
         ..LedgerDelta::NONE
     },
     apply: apply_transfer,
-    commit: commit_transfer,
 };
 
 static BURN: OpSpec = OpSpec {
@@ -197,7 +195,6 @@ static BURN: OpSpec = OpSpec {
         ..LedgerDelta::NONE
     },
     apply: apply_burn,
-    commit: commit_burn,
 };
 
 static APPROVE: OpSpec = OpSpec {
@@ -209,7 +206,6 @@ static APPROVE: OpSpec = OpSpec {
     writes: &[WriteDomain::Token],
     ledger: LedgerDelta::NONE,
     apply: apply_approve,
-    commit: commit_approve,
 };
 
 static SET_APPROVAL_FOR_ALL: OpSpec = OpSpec {
@@ -221,7 +217,6 @@ static SET_APPROVAL_FOR_ALL: OpSpec = OpSpec {
     writes: &[WriteDomain::OperatorPair],
     ledger: LedgerDelta::NONE,
     apply: apply_set_approval_for_all,
-    commit: commit_set_approval_for_all,
 };
 
 static LIST: OpSpec = OpSpec {
@@ -233,7 +228,6 @@ static LIST: OpSpec = OpSpec {
     writes: &[WriteDomain::Token],
     ledger: LedgerDelta::NONE,
     apply: apply_list,
-    commit: commit_list,
 };
 
 static CANCEL_LISTING: OpSpec = OpSpec {
@@ -245,7 +239,6 @@ static CANCEL_LISTING: OpSpec = OpSpec {
     writes: &[WriteDomain::Token],
     ledger: LedgerDelta::NONE,
     apply: apply_cancel_listing,
-    commit: commit_cancel_listing,
 };
 
 static BUY: OpSpec = OpSpec {
@@ -264,12 +257,11 @@ static BUY: OpSpec = OpSpec {
         ..LedgerDelta::NONE
     },
     apply: apply_buy,
-    commit: commit_buy,
 };
 
 /// Maps contract-level NFT errors to OVM revert reasons.
-pub(crate) fn map_nft_error(e: NftError) -> TxStatus {
-    let reason = match e {
+fn revert_reason(e: NftError) -> RevertReason {
+    match e {
         NftError::SoldOut => RevertReason::SoldOut,
         NftError::InvalidTokenId(_) | NftError::AlreadyMinted(_) => RevertReason::BadTokenId,
         NftError::NotMinted(_) => RevertReason::NoSuchToken,
@@ -280,8 +272,24 @@ pub(crate) fn map_nft_error(e: NftError) -> TxStatus {
         NftError::NotListed(_) => RevertReason::NotListed,
         NftError::StaleListing { .. } => RevertReason::StaleListing,
         NftError::ZeroPrice(_) => RevertReason::BadPrice,
-    };
-    TxStatus::Reverted(reason)
+    }
+}
+
+/// A constraint check through the state's granular readers: a missing
+/// collection reverts `NoSuchCollection`, a contract-level failure with its
+/// mapped reason.
+fn check(verdict: Result<Result<(), NftError>, StateError>) -> Result<(), RevertReason> {
+    verdict
+        .map_err(|_| RevertReason::NoSuchCollection)?
+        .map_err(revert_reason)
+}
+
+/// The events of a collection mutation whose constraints were just
+/// checked, so it cannot fail.
+fn checked(mutation: Result<Result<OpEvents, NftError>, StateError>) -> OpEvents {
+    mutation
+        .expect("collection checked above")
+        .expect("constraints just checked")
 }
 
 /// Resolves the spec's [`WriteDomain`]s into concrete [`RecordKey`]s for a
@@ -339,39 +347,38 @@ pub(crate) fn speculative_header_write(writes: &mut BTreeSet<RecordKey>, tx: &Nf
 }
 
 // ---------------------------------------------------------------------------
-// Serial operation bodies (full constraint checks). Reads go through the
-// granular `L2State` helpers so the read set recorded during speculation is
-// exactly token- or header-granular. A missing collection surfaces through
-// the same helpers as `RevertReason::NoSuchCollection`.
+// Operation bodies (full constraint checks). Reads go through the granular
+// `L2State` helpers so the read set recorded during speculation is exactly
+// token- or header-granular. A missing collection surfaces through the same
+// helpers as `RevertReason::NoSuchCollection`.
 
 /// Eq. 1 / Eq. 2: mint — pay `P^{t-1}` to the creator, supply shrinks,
 /// price rises.
-fn apply_mint(state: &mut L2State, tx: &NftTransaction, price: Wei) -> TxStatus {
+fn apply_mint(
+    state: &mut L2State,
+    tx: &NftTransaction,
+    price: Wei,
+) -> Result<OpEvents, RevertReason> {
     let TxKind::Mint { collection, token } = tx.kind else {
         unreachable!("mint spec dispatched for {:?}", tx.kind)
     };
-    let Ok(contract_ok) = state.nft_can_mint(collection, token) else {
-        return TxStatus::Reverted(RevertReason::NoSuchCollection);
-    };
-    if let Err(e) = contract_ok {
-        return map_nft_error(e);
-    }
+    check(state.nft_can_mint(collection, token))?;
     if state.balance_of(tx.sender) < price {
-        return TxStatus::Reverted(RevertReason::InsufficientBalance);
+        return Err(RevertReason::InsufficientBalance);
     }
     let creator = state.collection_creator(collection).expect("checked above");
     state.debit(tx.sender, price).expect("balance just checked");
     state.credit(creator, price);
-    state
-        .nft_mint(collection, tx.sender, token)
-        .expect("checked above")
-        .expect("constraints just checked");
-    TxStatus::Executed
+    Ok(checked(state.nft_mint(collection, tx.sender, token)))
 }
 
 /// Eq. 3 / Eq. 4: transfer — buyer pays `P^{t-1}` to the seller, ownership
 /// moves, price unchanged.
-fn apply_transfer(state: &mut L2State, tx: &NftTransaction, price: Wei) -> TxStatus {
+fn apply_transfer(
+    state: &mut L2State,
+    tx: &NftTransaction,
+    price: Wei,
+) -> Result<OpEvents, RevertReason> {
     let TxKind::Transfer {
         collection,
         token,
@@ -380,46 +387,38 @@ fn apply_transfer(state: &mut L2State, tx: &NftTransaction, price: Wei) -> TxSta
     else {
         unreachable!("transfer spec dispatched for {:?}", tx.kind)
     };
-    let Ok(contract_ok) = state.nft_can_transfer(collection, tx.sender, to, token) else {
-        return TxStatus::Reverted(RevertReason::NoSuchCollection);
-    };
-    if let Err(e) = contract_ok {
-        return map_nft_error(e);
-    }
+    check(state.nft_can_transfer(collection, tx.sender, to, token))?;
     if state.balance_of(to) < price {
-        return TxStatus::Reverted(RevertReason::InsufficientBalance);
+        return Err(RevertReason::InsufficientBalance);
     }
     state
         .transfer_balance(to, tx.sender, price)
         .expect("just checked");
-    state
-        .nft_transfer(collection, tx.sender, to, token)
-        .expect("checked above")
-        .expect("constraints just checked");
-    TxStatus::Executed
+    Ok(checked(
+        state.nft_transfer(collection, tx.sender, to, token),
+    ))
 }
 
 /// Eq. 5 / Eq. 6: burn — supply grows, price falls, no payment.
-fn apply_burn(state: &mut L2State, tx: &NftTransaction, _price: Wei) -> TxStatus {
+fn apply_burn(
+    state: &mut L2State,
+    tx: &NftTransaction,
+    _price: Wei,
+) -> Result<OpEvents, RevertReason> {
     let TxKind::Burn { collection, token } = tx.kind else {
         unreachable!("burn spec dispatched for {:?}", tx.kind)
     };
-    let Ok(contract_ok) = state.nft_can_burn(collection, tx.sender, token) else {
-        return TxStatus::Reverted(RevertReason::NoSuchCollection);
-    };
-    if let Err(e) = contract_ok {
-        return map_nft_error(e);
-    }
-    state
-        .nft_burn(collection, tx.sender, token)
-        .expect("checked above")
-        .expect("constraints just checked");
-    TxStatus::Executed
+    check(state.nft_can_burn(collection, tx.sender, token))?;
+    Ok(checked(state.nft_burn(collection, tx.sender, token)))
 }
 
 /// ERC-721 `approve`: per-token operator grant, no payment, no curve
 /// movement. Reads exactly the token's leaf.
-fn apply_approve(state: &mut L2State, tx: &NftTransaction, _price: Wei) -> TxStatus {
+fn apply_approve(
+    state: &mut L2State,
+    tx: &NftTransaction,
+    _price: Wei,
+) -> Result<OpEvents, RevertReason> {
     let TxKind::Approve {
         collection,
         token,
@@ -428,23 +427,20 @@ fn apply_approve(state: &mut L2State, tx: &NftTransaction, _price: Wei) -> TxSta
     else {
         unreachable!("approve spec dispatched for {:?}", tx.kind)
     };
-    let Ok(contract_ok) = state.nft_can_approve(collection, tx.sender, token) else {
-        return TxStatus::Reverted(RevertReason::NoSuchCollection);
-    };
-    if let Err(e) = contract_ok {
-        return map_nft_error(e);
-    }
-    state
-        .nft_approve(collection, tx.sender, operator, token)
-        .expect("checked above")
-        .expect("constraints just checked");
-    TxStatus::Executed
+    check(state.nft_can_approve(collection, tx.sender, token))?;
+    Ok(checked(
+        state.nft_approve(collection, tx.sender, operator, token),
+    ))
 }
 
 /// ERC-721 `setApprovalForAll`: blanket operator grant/revoke. Reads and
 /// writes only the sender's operator record — disjoint from every token
 /// leaf and from the supply counters.
-fn apply_set_approval_for_all(state: &mut L2State, tx: &NftTransaction, _price: Wei) -> TxStatus {
+fn apply_set_approval_for_all(
+    state: &mut L2State,
+    tx: &NftTransaction,
+    _price: Wei,
+) -> Result<OpEvents, RevertReason> {
     let TxKind::SetApprovalForAll {
         collection,
         operator,
@@ -453,24 +449,20 @@ fn apply_set_approval_for_all(state: &mut L2State, tx: &NftTransaction, _price: 
     else {
         unreachable!("sfa spec dispatched for {:?}", tx.kind)
     };
-    let Ok(contract_ok) = state.nft_can_set_approval_for_all(collection, tx.sender, operator)
-    else {
-        return TxStatus::Reverted(RevertReason::NoSuchCollection);
-    };
-    if let Err(e) = contract_ok {
-        return map_nft_error(e);
-    }
-    state
-        .nft_set_approval_for_all(collection, tx.sender, operator, approved)
-        .expect("checked above")
-        .expect("constraints just checked");
-    TxStatus::Executed
+    check(state.nft_can_set_approval_for_all(collection, tx.sender, operator))?;
+    Ok(checked(state.nft_set_approval_for_all(
+        collection, tx.sender, operator, approved,
+    )))
 }
 
 /// Marketplace `list`: the owner posts the token at an ask price. Writes
 /// only the token's leaf (the listing rides in it), so listings on
 /// disjoint tokens commit clean in parallel.
-fn apply_list(state: &mut L2State, tx: &NftTransaction, _price: Wei) -> TxStatus {
+fn apply_list(
+    state: &mut L2State,
+    tx: &NftTransaction,
+    _price: Wei,
+) -> Result<OpEvents, RevertReason> {
     let TxKind::List {
         collection,
         token,
@@ -479,198 +471,61 @@ fn apply_list(state: &mut L2State, tx: &NftTransaction, _price: Wei) -> TxStatus
     else {
         unreachable!("list spec dispatched for {:?}", tx.kind)
     };
-    let Ok(contract_ok) = state.nft_can_list(collection, tx.sender, token, price) else {
-        return TxStatus::Reverted(RevertReason::NoSuchCollection);
-    };
-    if let Err(e) = contract_ok {
-        return map_nft_error(e);
-    }
-    state
-        .nft_list(collection, tx.sender, token, price)
-        .expect("checked above")
-        .expect("constraints just checked");
-    TxStatus::Executed
+    check(state.nft_can_list(collection, tx.sender, token, price))?;
+    Ok(checked(state.nft_list(collection, tx.sender, token, price)))
 }
 
 /// Marketplace `cancel`: the current owner withdraws the token's listing
 /// (including a stale listing left by a previous owner).
-fn apply_cancel_listing(state: &mut L2State, tx: &NftTransaction, _price: Wei) -> TxStatus {
+fn apply_cancel_listing(
+    state: &mut L2State,
+    tx: &NftTransaction,
+    _price: Wei,
+) -> Result<OpEvents, RevertReason> {
     let TxKind::CancelListing { collection, token } = tx.kind else {
         unreachable!("cancel-listing spec dispatched for {:?}", tx.kind)
     };
-    let Ok(contract_ok) = state.nft_can_cancel_listing(collection, tx.sender, token) else {
-        return TxStatus::Reverted(RevertReason::NoSuchCollection);
-    };
-    if let Err(e) = contract_ok {
-        return map_nft_error(e);
-    }
-    state
-        .nft_cancel_listing(collection, tx.sender, token)
-        .expect("checked above")
-        .expect("constraints just checked");
-    TxStatus::Executed
+    check(state.nft_can_cancel_listing(collection, tx.sender, token))?;
+    Ok(checked(
+        state.nft_cancel_listing(collection, tx.sender, token),
+    ))
 }
 
 /// Marketplace `buy`: the sender takes a fresh listing at its ask price.
 /// The price splits wei-exactly into the seller's cut plus the creator
-/// royalty stamped on the token at mint — the conservation auditor holds
-/// the settlement to that.
-fn apply_buy(state: &mut L2State, tx: &NftTransaction, _price: Wei) -> TxStatus {
+/// royalty stamped on the token at mint — the `Sold` event carries the
+/// split, and the conservation auditor holds the settlement to it.
+fn apply_buy(
+    state: &mut L2State,
+    tx: &NftTransaction,
+    _price: Wei,
+) -> Result<OpEvents, RevertReason> {
     let TxKind::Buy { collection, token } = tx.kind else {
         unreachable!("buy spec dispatched for {:?}", tx.kind)
     };
-    let Ok(contract_ok) = state.nft_can_buy(collection, tx.sender, token) else {
-        return TxStatus::Reverted(RevertReason::NoSuchCollection);
-    };
-    if let Err(e) = contract_ok {
-        return map_nft_error(e);
-    }
+    check(state.nft_can_buy(collection, tx.sender, token))?;
     let ask = state
         .nft_listing(collection, token)
         .expect("can_buy checked the listing exists")
         .price;
     if state.balance_of(tx.sender) < ask {
-        return TxStatus::Reverted(RevertReason::InsufficientBalance);
+        return Err(RevertReason::InsufficientBalance);
     }
     let creator = state.collection_creator(collection).expect("checked above");
-    let settlement = state
-        .nft_buy(collection, tx.sender, token)
-        .expect("checked above")
-        .expect("constraints just checked");
-    state
-        .debit(tx.sender, settlement.price)
-        .expect("balance just checked");
-    state.credit(settlement.seller, settlement.price - settlement.royalty);
-    state.credit(creator, settlement.royalty);
-    TxStatus::Executed
-}
-
-// ---------------------------------------------------------------------------
-// Validated-commit bodies: replay a successful speculative execution from
-// its receipt without re-running constraint checks. Soundness contract as
-// documented on `Ovm::apply_validated` — every `expect` here asserts the
-// scheduler's validation premise, and a violation is a scheduler bug.
-
-fn commit_mint(state: &mut L2State, tx: &NftTransaction, receipt: &Receipt) {
-    let TxKind::Mint { collection, token } = tx.kind else {
-        unreachable!("mint spec dispatched for {:?}", tx.kind)
-    };
-    let price = receipt.price_before;
-    let creator = state
-        .collection_creator(collection)
-        .expect("validated speculation: collection exists");
-    state
-        .debit(tx.sender, price)
-        .expect("validated speculation: price was covered");
-    state.credit(creator, price);
-    state
-        .nft_mint(collection, tx.sender, token)
-        .expect("validated speculation: collection exists")
-        .expect("validated speculation: mint constraints held");
-}
-
-fn commit_transfer(state: &mut L2State, tx: &NftTransaction, receipt: &Receipt) {
-    let TxKind::Transfer {
-        collection,
-        token,
-        to,
-    } = tx.kind
-    else {
-        unreachable!("transfer spec dispatched for {:?}", tx.kind)
-    };
-    state
-        .transfer_balance(to, tx.sender, receipt.price_before)
-        .expect("validated speculation: buyer balance was covered");
-    state
-        .nft_transfer(collection, tx.sender, to, token)
-        .expect("validated speculation: collection exists")
-        .expect("validated speculation: transfer constraints held");
-}
-
-fn commit_burn(state: &mut L2State, tx: &NftTransaction, _receipt: &Receipt) {
-    let TxKind::Burn { collection, token } = tx.kind else {
-        unreachable!("burn spec dispatched for {:?}", tx.kind)
-    };
-    state
-        .nft_burn(collection, tx.sender, token)
-        .expect("validated speculation: collection exists")
-        .expect("validated speculation: burn constraints held");
-}
-
-fn commit_approve(state: &mut L2State, tx: &NftTransaction, _receipt: &Receipt) {
-    let TxKind::Approve {
-        collection,
-        token,
-        operator,
-    } = tx.kind
-    else {
-        unreachable!("approve spec dispatched for {:?}", tx.kind)
-    };
-    state
-        .nft_approve(collection, tx.sender, operator, token)
-        .expect("validated speculation: collection exists")
-        .expect("validated speculation: approve constraints held");
-}
-
-fn commit_set_approval_for_all(state: &mut L2State, tx: &NftTransaction, _receipt: &Receipt) {
-    let TxKind::SetApprovalForAll {
-        collection,
-        operator,
-        approved,
-    } = tx.kind
-    else {
-        unreachable!("sfa spec dispatched for {:?}", tx.kind)
-    };
-    state
-        .nft_set_approval_for_all(collection, tx.sender, operator, approved)
-        .expect("validated speculation: collection exists")
-        .expect("validated speculation: operator constraints held");
-}
-
-fn commit_list(state: &mut L2State, tx: &NftTransaction, _receipt: &Receipt) {
-    let TxKind::List {
-        collection,
-        token,
+    let events = checked(state.nft_buy(collection, tx.sender, token));
+    let [Erc721Event::Sold {
+        seller,
         price,
-    } = tx.kind
+        royalty,
+        ..
+    }] = *events
     else {
-        unreachable!("list spec dispatched for {:?}", tx.kind)
+        unreachable!("a sale emits exactly one Sold event, got {events:?}")
     };
-    state
-        .nft_list(collection, tx.sender, token, price)
-        .expect("validated speculation: collection exists")
-        .expect("validated speculation: list constraints held");
-}
-
-fn commit_cancel_listing(state: &mut L2State, tx: &NftTransaction, _receipt: &Receipt) {
-    let TxKind::CancelListing { collection, token } = tx.kind else {
-        unreachable!("cancel-listing spec dispatched for {:?}", tx.kind)
-    };
-    state
-        .nft_cancel_listing(collection, tx.sender, token)
-        .expect("validated speculation: collection exists")
-        .expect("validated speculation: cancel constraints held");
-}
-
-fn commit_buy(state: &mut L2State, tx: &NftTransaction, _receipt: &Receipt) {
-    let TxKind::Buy { collection, token } = tx.kind else {
-        unreachable!("buy spec dispatched for {:?}", tx.kind)
-    };
-    // The settlement re-derives deterministically from the token's listing
-    // and royalty stamp, which validation guarantees match the speculative
-    // run (both live in the token leaf the speculation read).
-    let creator = state
-        .collection_creator(collection)
-        .expect("validated speculation: collection exists");
-    let settlement = state
-        .nft_buy(collection, tx.sender, token)
-        .expect("validated speculation: collection exists")
-        .expect("validated speculation: buy constraints held");
-    state
-        .debit(tx.sender, settlement.price)
-        .expect("validated speculation: ask was covered");
-    state.credit(settlement.seller, settlement.price - settlement.royalty);
-    state.credit(creator, settlement.royalty);
+    state.debit(tx.sender, price).expect("balance just checked");
+    state.credit(seller, price - royalty);
+    state.credit(creator, royalty);
+    Ok(events)
 }
 
 #[cfg(test)]

@@ -23,10 +23,12 @@
 //!    wrote was written by a transaction committed before it
 //!    (`key_sets_conflict`; write-write overlaps matter because nonces and
 //!    balances are read-modify-write from base values). Valid runs commit
-//!    through [`Ovm::apply_validated`] — the cheap replay that skips
-//!    hashing, signature checks and constraint evaluation. Invalidated
-//!    runs are aborted and re-executed serially against the committed
-//!    state, which by induction equals the serial state at that slot.
+//!    through [`Ovm::apply_validated`], which skips signature checks and
+//!    receipt hashing and re-runs the operation's one `apply` body; it
+//!    panics if that re-run does not reproduce the speculative receipt's
+//!    logs, so a broken premise is a loud scheduler bug. Invalidated runs
+//!    are aborted and re-executed serially against the committed state,
+//!    which by induction equals the serial state at that slot.
 //!
 //! The conflict domains are the commitment tree's leaves (account records,
 //! collection headers, token leaves — see [`RecordKey`]). Every
@@ -426,7 +428,10 @@ mod tests {
         assert_eq!(
             state.balance_of(addr(1)),
             base.balance_of(addr(1)) + Wei::from_eth(1)
-                - state.collection(pt).unwrap().royalty_amount(TokenId::new(0), Wei::from_eth(1))
+                - state
+                    .collection(pt)
+                    .unwrap()
+                    .royalty_amount(TokenId::new(0), Wei::from_eth(1))
         );
     }
 
@@ -456,6 +461,50 @@ mod tests {
             stats.conflicts, 0,
             "a listing touches only its own token leaf"
         );
+    }
+
+    /// A clean commit re-runs the op's `apply` body under the validation
+    /// premise; when the premise no longer holds (the token moved after
+    /// speculation), the commit must panic rather than absorb the change.
+    #[test]
+    #[should_panic(expected = "validated speculation of tx")]
+    fn clean_commit_with_a_broken_premise_panics() {
+        let (base, pt) = base_state();
+        let tx = transfer(1, 0, 9, pt);
+        let ovm = Ovm::new();
+        let speculative = ovm.execute(&mut base.clone(), &tx);
+        assert!(speculative.is_success());
+
+        let mut state = base;
+        state
+            .nft_transfer(pt, addr(1), addr(2), TokenId::new(0))
+            .unwrap()
+            .unwrap();
+        ovm.apply_validated(&mut state, &tx, &speculative);
+    }
+
+    /// The same when the re-run still succeeds but emits other events: a
+    /// mint after another mint logs a different `PriceChanged`.
+    #[test]
+    #[should_panic(expected = "validated speculation of tx")]
+    fn clean_commit_with_different_logs_panics() {
+        let (base, pt) = base_state();
+        let mint = |sender: u64, token: u64| {
+            NftTransaction::simple(
+                addr(sender),
+                TxKind::Mint {
+                    collection: pt,
+                    token: TokenId::new(token),
+                },
+            )
+        };
+        let ovm = Ovm::new();
+        let speculative = ovm.execute(&mut base.clone(), &mint(3, 20));
+        assert!(speculative.is_success());
+
+        let mut state = base;
+        assert!(ovm.execute(&mut state, &mint(4, 21)).is_success());
+        ovm.apply_validated(&mut state, &mint(3, 20), &speculative);
     }
 
     #[test]

@@ -78,8 +78,8 @@ pub enum TxStatus {
 ///
 /// Carries the ordered event logs the operation emitted plus a per-receipt
 /// bloom over them — reverted transactions always carry an empty log slice
-/// and the zero bloom (emission is journaled with the state mutations, so a
-/// revert unwinds its pending events).
+/// and the zero bloom (a reverted operation returns its reason instead of
+/// events, so there is nothing to log).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Receipt {
     /// Hash of the transaction this receipt belongs to.

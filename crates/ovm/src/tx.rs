@@ -612,9 +612,16 @@ mod tests {
             let (back, used) = TxKind::decode_fields(kind.spec().wire_tag, &bytes)
                 .unwrap_or_else(|| panic!("{} must decode", kind.label()));
             assert_eq!(back, kind);
-            assert_eq!(used, bytes.len(), "{}: whole payload consumed", kind.label());
+            assert_eq!(
+                used,
+                bytes.len(),
+                "{}: whole payload consumed",
+                kind.label()
+            );
             // Truncated input is rejected, not misparsed.
-            assert!(TxKind::decode_fields(kind.spec().wire_tag, &bytes[..bytes.len() - 1]).is_none());
+            assert!(
+                TxKind::decode_fields(kind.spec().wire_tag, &bytes[..bytes.len() - 1]).is_none()
+            );
         }
         assert!(TxKind::decode_fields(99, &[0u8; 64]).is_none());
     }
@@ -639,9 +646,27 @@ mod tests {
                 price: Wei::from_eth(2),
             },
         );
-        let cancel = NftTransaction::simple(addr(1), TxKind::CancelListing { collection: c, token: t });
-        let buy = NftTransaction::simple(addr(1), TxKind::Buy { collection: c, token: t });
-        let burn = NftTransaction::simple(addr(1), TxKind::Burn { collection: c, token: t });
+        let cancel = NftTransaction::simple(
+            addr(1),
+            TxKind::CancelListing {
+                collection: c,
+                token: t,
+            },
+        );
+        let buy = NftTransaction::simple(
+            addr(1),
+            TxKind::Buy {
+                collection: c,
+                token: t,
+            },
+        );
+        let burn = NftTransaction::simple(
+            addr(1),
+            TxKind::Burn {
+                collection: c,
+                token: t,
+            },
+        );
         let hashes = [
             list.tx_hash(),
             relist.tx_hash(),

@@ -130,11 +130,11 @@ fn creator_income(txs: &[NftTransaction], receipts: &[Receipt]) -> Wei {
             continue;
         }
         if matches!(tx.kind, TxKind::Mint { .. }) {
-            income = income + r.price_before;
+            income += r.price_before;
         }
         for log in &r.logs {
             if let Erc721Event::Sold { royalty, .. } = log.event {
-                income = income + royalty;
+                income += royalty;
             }
         }
     }
@@ -153,10 +153,7 @@ fn assert_book_well_formed(state: &L2State, coll: Address) {
             "listing on unminted/burned token {token}"
         );
         assert!(!listing.price.is_zero(), "zero ask survived for {token}");
-        assert!(
-            !listing.seller.is_zero(),
-            "zero-address seller for {token}"
-        );
+        assert!(!listing.seller.is_zero(), "zero-address seller for {token}");
     }
     assert_eq!(n, c.listing_count(), "listing counter out of sync");
 }

@@ -86,7 +86,10 @@ fn world(users: u64, tokens: u64) -> (L2State, Address) {
     }
     for t in 0..tokens / 2 {
         let owner = Address::from_low_u64(t % users + 1);
-        state.nft_mint(coll, owner, TokenId::new(t)).unwrap().unwrap();
+        state
+            .nft_mint(coll, owner, TokenId::new(t))
+            .unwrap()
+            .unwrap();
         // Every fourth pre-minted token starts listed, so Buy arms can hit
         // fresh listings from the first wave, not only intra-block ones.
         if t % 4 == 0 {

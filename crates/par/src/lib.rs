@@ -9,9 +9,9 @@
 //! that keep per-item work self-contained get bit-identical results at 1, 2
 //! or N threads (the fleet determinism test pins this).
 //!
-//! Extracted into its own crate so lower layers (the OVM's parallel block
-//! executor) can share the pool without depending on the attack core; the
-//! `parole` crate re-exports this as `parole::par`.
+//! A crate of its own so lower layers (the OVM's parallel block executor)
+//! can share the pool without depending on the attack core; the attack
+//! core's fleet sweeps and the figure binaries import it directly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

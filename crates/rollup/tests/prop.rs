@@ -73,6 +73,60 @@ fn arb_kind() -> impl Strategy<Value = TxKind> {
     ]
 }
 
+/// Whether `data` is rejected by `decode_batch`, or accepted and re-encoded
+/// byte for byte by `encode_batch` — the contract for untrusted L1 bytes
+/// (a panic anywhere fails the calling test).
+fn decode_rejects_or_roundtrips(data: &[u8]) -> bool {
+    let Some(pairs) = calldata::decode_batch(data) else {
+        return true;
+    };
+    let txs = pairs
+        .into_iter()
+        .map(|(sender, kind)| NftTransaction::simple(sender, kind))
+        .collect();
+    let mut agg = Aggregator::honest(AggregatorId::new(0), Wei::from_eth(10));
+    let batch = agg.build_batch(&parole_state::L2State::new(), txs);
+    calldata::encode_batch(&batch) == data
+}
+
+/// Bytes of one posted record after its wire tag, per tag: the 20-byte
+/// sender, the 20-byte collection, then the kind's payload.
+const RECORD_LEN: [usize; 8] = [48, 68, 48, 68, 61, 64, 48, 48];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `decode_batch` never panics on arbitrary bytes, and anything it
+    /// accepts is canonical.
+    #[test]
+    fn decode_batch_is_total_on_arbitrary_bytes(
+        data in prop::collection::vec(any::<u8>(), 0..512),
+    ) {
+        prop_assert!(decode_rejects_or_roundtrips(&data));
+    }
+
+    /// The same contract for random tails behind a valid count and tag
+    /// prefix, so the per-kind field decoders see the bytes. Tail lengths
+    /// favour exact record sizes: a one-record batch of exactly the
+    /// kind's size decodes whatever the bytes, except that the
+    /// `setApprovalForAll` flag byte must be 0 or 1.
+    #[test]
+    fn decode_batch_is_total_behind_a_valid_prefix(
+        count in 0u32..4,
+        tag in 0u8..=8,
+        bytes in prop::collection::vec(any::<u8>(), 160),
+        len in prop_oneof![Just(48usize), Just(61usize), Just(64usize), Just(68usize), 0usize..160],
+    ) {
+        let mut data = count.to_be_bytes().to_vec();
+        data.push(tag);
+        data.extend_from_slice(&bytes[..len]);
+        prop_assert!(decode_rejects_or_roundtrips(&data));
+        if count == 1 && tag != 4 && RECORD_LEN.get(tag as usize) == Some(&len) {
+            prop_assert!(calldata::decode_batch(&data).is_some());
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

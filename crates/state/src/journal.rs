@@ -116,9 +116,10 @@ pub(crate) enum JournalEntry {
     Block { prev: BlockNumber },
     /// A collection was deployed at a previously free address.
     CollectionDeployed { addr: Address },
-    /// A mint/transfer/burn ran through an undoable collection operation.
+    /// A per-token collection operation ran; `undo` was captured just
+    /// before it.
     TokenOp { addr: Address, undo: CollectionUndo },
-    /// A `set_approval_for_all` ran through its undoable operation.
+    /// A `set_approval_for_all` ran; `undo` was captured just before it.
     OperatorOp { addr: Address, undo: OperatorUndo },
     /// Raw mutable access was handed out; the whole prior collection is
     /// retained (boxed to keep the enum small).

@@ -5,7 +5,7 @@ use crate::journal::{Journal, JournalEntry, RecordKey};
 use crate::tables::{AccountTable, CollTable};
 use crate::{AccountState, Checkpoint};
 use parole_crypto::{keccak256, Hash32, MerkleTree};
-use parole_nft::{Collection, CollectionConfig, Erc721Event, Listing, NftError, SaleSettlement};
+use parole_nft::{Collection, CollectionConfig, Listing, NftError, OpEvents};
 use parole_primitives::{
     storage_backend, Address, BlockNumber, PrimitiveError, StorageBackend, TokenId, Wei,
 };
@@ -62,6 +62,16 @@ impl From<PrimitiveError> for StateError {
             requested: Wei::ZERO,
         }
     }
+}
+
+/// The record a collection operation mutates, which names both its undo
+/// record and its dirty mark.
+#[derive(Clone, Copy)]
+enum NftTouch {
+    /// One token's leaf (every per-token operation).
+    Token(TokenId),
+    /// One `(owner, operator)` blanket approval, committed in the header.
+    Operator { owner: Address, operator: Address },
 }
 
 /// The L2 chain's world state: accounts plus deployed NFT collections.
@@ -654,8 +664,47 @@ impl L2State {
             .ok_or(StateError::NoSuchCollection(addr))
     }
 
-    /// Mints `token` to `to` on the collection at `collection`, journaling a
-    /// cheap per-token undo record when recording.
+    /// Runs one collection operation through the state: looks the
+    /// collection up, captures the undo record `touch` names if recording,
+    /// runs `op`, and on success marks the touched record dirty and journals
+    /// the undo. Returns the events the operation emitted; error structure
+    /// as [`L2State::nft_mint`].
+    fn nft_op(
+        &mut self,
+        collection: Address,
+        touch: NftTouch,
+        op: impl FnOnce(&mut Collection) -> Result<OpEvents, NftError>,
+    ) -> Result<Result<OpEvents, NftError>, StateError> {
+        let coll = self
+            .collections
+            .get_mut(&collection)
+            .ok_or(StateError::NoSuchCollection(collection))?;
+        let undo = self.journal.recording.then(|| match touch {
+            NftTouch::Token(token) => JournalEntry::TokenOp {
+                addr: collection,
+                undo: coll.undo_point(token),
+            },
+            NftTouch::Operator { owner, operator } => JournalEntry::OperatorOp {
+                addr: collection,
+                undo: coll.operator_undo_point(owner, operator),
+            },
+        });
+        let events = match op(coll) {
+            Ok(events) => events,
+            Err(e) => return Ok(Err(e)),
+        };
+        let slot = Self::slot_mut(&mut self.commit);
+        match touch {
+            NftTouch::Token(token) => slot.mark_coll_token(collection, token),
+            NftTouch::Operator { .. } => slot.mark_coll_header(collection),
+        }
+        self.journal.entries.extend(undo);
+        Ok(Ok(events))
+    }
+
+    /// Mints `token` to `to` on the collection at `collection`
+    /// ([`Collection::mint`]), journaling a cheap per-token undo record when
+    /// recording, and returns the emitted events.
     ///
     /// The outer `Result` reports state-level failure (no such collection);
     /// the inner one the contract-level constraints of [`Collection::mint`].
@@ -669,25 +718,12 @@ impl L2State {
         collection: Address,
         to: Address,
         token: TokenId,
-    ) -> Result<Result<(), NftError>, StateError> {
-        let coll = self
-            .collections
-            .get_mut(&collection)
-            .ok_or(StateError::NoSuchCollection(collection))?;
-        let r = coll.mint_undoable(to, token);
-        Ok(r.map(|undo| {
-            Self::slot_mut(&mut self.commit).mark_coll_token(collection, token);
-            if self.journal.recording {
-                self.journal.entries.push(JournalEntry::TokenOp {
-                    addr: collection,
-                    undo,
-                });
-            }
-        }))
+    ) -> Result<Result<OpEvents, NftError>, StateError> {
+        self.nft_op(collection, NftTouch::Token(token), |c| c.mint(to, token))
     }
 
-    /// Transfers `token` from `from` to `to`, journaling a cheap per-token
-    /// undo record when recording. Error structure as [`L2State::nft_mint`].
+    /// Transfers `token` from `from` to `to` ([`Collection::transfer`]).
+    /// Journaling, events and error structure as [`L2State::nft_mint`].
     ///
     /// # Errors
     ///
@@ -699,25 +735,14 @@ impl L2State {
         from: Address,
         to: Address,
         token: TokenId,
-    ) -> Result<Result<(), NftError>, StateError> {
-        let coll = self
-            .collections
-            .get_mut(&collection)
-            .ok_or(StateError::NoSuchCollection(collection))?;
-        let r = coll.transfer_undoable(from, to, token);
-        Ok(r.map(|undo| {
-            Self::slot_mut(&mut self.commit).mark_coll_token(collection, token);
-            if self.journal.recording {
-                self.journal.entries.push(JournalEntry::TokenOp {
-                    addr: collection,
-                    undo,
-                });
-            }
-        }))
+    ) -> Result<Result<OpEvents, NftError>, StateError> {
+        self.nft_op(collection, NftTouch::Token(token), |c| {
+            c.transfer(from, to, token)
+        })
     }
 
-    /// Burns `token`, journaling a cheap per-token undo record when
-    /// recording. Error structure as [`L2State::nft_mint`].
+    /// Burns `token` ([`Collection::burn`]). Journaling, events and error
+    /// structure as [`L2State::nft_mint`].
     ///
     /// # Errors
     ///
@@ -728,25 +753,12 @@ impl L2State {
         collection: Address,
         owner: Address,
         token: TokenId,
-    ) -> Result<Result<(), NftError>, StateError> {
-        let coll = self
-            .collections
-            .get_mut(&collection)
-            .ok_or(StateError::NoSuchCollection(collection))?;
-        Ok(coll.burn_undoable(owner, token).map(|undo| {
-            Self::slot_mut(&mut self.commit).mark_coll_token(collection, token);
-            if self.journal.recording {
-                self.journal.entries.push(JournalEntry::TokenOp {
-                    addr: collection,
-                    undo,
-                });
-            }
-        }))
+    ) -> Result<Result<OpEvents, NftError>, StateError> {
+        self.nft_op(collection, NftTouch::Token(token), |c| c.burn(owner, token))
     }
 
-    /// Approves `operator` to move `token` (ERC-721 `approve`), journaling a
-    /// cheap per-token undo record when recording. Error structure as
-    /// [`L2State::nft_mint`].
+    /// Approves `operator` to move `token` (ERC-721 `approve`). Journaling,
+    /// events and error structure as [`L2State::nft_mint`].
     ///
     /// Approvals are committed state — they gate `transferFrom`, and the
     /// token's leaf in the collection sub-tree covers the approved operator
@@ -762,25 +774,15 @@ impl L2State {
         owner: Address,
         operator: Address,
         token: TokenId,
-    ) -> Result<Result<(), NftError>, StateError> {
-        let coll = self
-            .collections
-            .get_mut(&collection)
-            .ok_or(StateError::NoSuchCollection(collection))?;
-        Ok(coll.approve_undoable(owner, operator, token).map(|undo| {
-            Self::slot_mut(&mut self.commit).mark_coll_token(collection, token);
-            if self.journal.recording {
-                self.journal.entries.push(JournalEntry::TokenOp {
-                    addr: collection,
-                    undo,
-                });
-            }
-        }))
+    ) -> Result<Result<OpEvents, NftError>, StateError> {
+        self.nft_op(collection, NftTouch::Token(token), |c| {
+            c.approve(owner, operator, token)
+        })
     }
 
     /// Grants or revokes a blanket operator approval (ERC-721
     /// `setApprovalForAll`), journaling a cheap operator undo record when
-    /// recording. Error structure as [`L2State::nft_mint`].
+    /// recording. Events and error structure as [`L2State::nft_mint`].
     ///
     /// Operator approvals are committed state — they gate `transferFrom`
     /// and the collection-header leaf absorbs the sorted pair set — but
@@ -796,22 +798,11 @@ impl L2State {
         owner: Address,
         operator: Address,
         approved: bool,
-    ) -> Result<Result<(), NftError>, StateError> {
-        let coll = self
-            .collections
-            .get_mut(&collection)
-            .ok_or(StateError::NoSuchCollection(collection))?;
-        Ok(coll
-            .set_approval_for_all_undoable(owner, operator, approved)
-            .map(|undo| {
-                Self::slot_mut(&mut self.commit).mark_coll_header(collection);
-                if self.journal.recording {
-                    self.journal.entries.push(JournalEntry::OperatorOp {
-                        addr: collection,
-                        undo,
-                    });
-                }
-            }))
+    ) -> Result<Result<OpEvents, NftError>, StateError> {
+        let touch = NftTouch::Operator { owner, operator };
+        self.nft_op(collection, touch, |c| {
+            c.set_approval_for_all(owner, operator, approved)
+        })
     }
 
     /// [`Collection::can_set_approval_for_all`] through the state, recording
@@ -923,8 +914,8 @@ impl L2State {
             .ok_or(StateError::NoSuchCollection(collection))
     }
 
-    /// Lists `token` for sale at `price`, journaling a cheap per-token undo
-    /// record when recording. Error structure as [`L2State::nft_mint`].
+    /// Lists `token` for sale at `price` ([`Collection::list`]). Journaling,
+    /// events and error structure as [`L2State::nft_mint`].
     ///
     /// Listings are committed state — the token leaf absorbs the seller and
     /// price — so this marks the token dirty exactly like a transfer does.
@@ -939,24 +930,14 @@ impl L2State {
         seller: Address,
         token: TokenId,
         price: Wei,
-    ) -> Result<Result<(), NftError>, StateError> {
-        let coll = self
-            .collections
-            .get_mut(&collection)
-            .ok_or(StateError::NoSuchCollection(collection))?;
-        Ok(coll.list_undoable(seller, token, price).map(|undo| {
-            Self::slot_mut(&mut self.commit).mark_coll_token(collection, token);
-            if self.journal.recording {
-                self.journal.entries.push(JournalEntry::TokenOp {
-                    addr: collection,
-                    undo,
-                });
-            }
-        }))
+    ) -> Result<Result<OpEvents, NftError>, StateError> {
+        self.nft_op(collection, NftTouch::Token(token), |c| {
+            c.list(seller, token, price)
+        })
     }
 
-    /// Withdraws the listing for `token`, journaling a cheap per-token undo
-    /// record when recording. Error structure as [`L2State::nft_mint`].
+    /// Withdraws the listing for `token` ([`Collection::cancel_listing`]).
+    /// Journaling, events and error structure as [`L2State::nft_mint`].
     ///
     /// # Errors
     ///
@@ -967,28 +948,19 @@ impl L2State {
         collection: Address,
         owner: Address,
         token: TokenId,
-    ) -> Result<Result<(), NftError>, StateError> {
-        let coll = self
-            .collections
-            .get_mut(&collection)
-            .ok_or(StateError::NoSuchCollection(collection))?;
-        Ok(coll.cancel_listing_undoable(owner, token).map(|undo| {
-            Self::slot_mut(&mut self.commit).mark_coll_token(collection, token);
-            if self.journal.recording {
-                self.journal.entries.push(JournalEntry::TokenOp {
-                    addr: collection,
-                    undo,
-                });
-            }
-        }))
+    ) -> Result<Result<OpEvents, NftError>, StateError> {
+        self.nft_op(collection, NftTouch::Token(token), |c| {
+            c.cancel_listing(owner, token)
+        })
     }
 
     /// Settles the sale of a listed `token` to `buyer` on the NFT side
-    /// (ownership, approval clear, listing consumption), journaling a cheap
-    /// per-token undo record when recording. Returns the settlement split;
-    /// the *caller* moves the matching wei through the balance ledger so the
-    /// account mutations journal their own undo entries. Error structure as
-    /// [`L2State::nft_mint`].
+    /// ([`Collection::buy`]: ownership, approval clear, listing
+    /// consumption). Journaling and error structure as
+    /// [`L2State::nft_mint`]. The returned `Sold` event carries the
+    /// settlement split; the *caller* moves the matching wei through the
+    /// balance ledger so the account mutations journal their own undo
+    /// entries.
     ///
     /// # Errors
     ///
@@ -999,41 +971,8 @@ impl L2State {
         collection: Address,
         buyer: Address,
         token: TokenId,
-    ) -> Result<Result<SaleSettlement, NftError>, StateError> {
-        let coll = self
-            .collections
-            .get_mut(&collection)
-            .ok_or(StateError::NoSuchCollection(collection))?;
-        Ok(coll.buy_undoable(buyer, token).map(|(undo, settlement)| {
-            Self::slot_mut(&mut self.commit).mark_coll_token(collection, token);
-            if self.journal.recording {
-                self.journal.entries.push(JournalEntry::TokenOp {
-                    addr: collection,
-                    undo,
-                });
-            }
-            settlement
-        }))
-    }
-
-    /// Current length of the collection's append-only event log.
-    ///
-    /// Receipt-log plumbing, not a state read: the OVM brackets a
-    /// transaction's execution with this to delimit the slice of events that
-    /// transaction emitted, and the mutations that append events already
-    /// carry their own conflict keys — so no read is recorded.
-    pub fn collection_events_len(&self, addr: Address) -> Option<usize> {
-        self.collections.get(&addr).map(|c| c.events().len())
-    }
-
-    /// The events appended to the collection's log at or after index
-    /// `start` (empty when `start` is past the end). Same receipt-log
-    /// plumbing contract as [`L2State::collection_events_len`]: no read key
-    /// is recorded.
-    pub fn collection_events_since(&self, addr: Address, start: usize) -> Option<&[Erc721Event]> {
-        self.collections
-            .get(&addr)
-            .map(|c| &c.events()[start.min(c.events().len())..])
+    ) -> Result<Result<OpEvents, NftError>, StateError> {
+        self.nft_op(collection, NftTouch::Token(token), |c| c.buy(buyer, token))
     }
 
     /// Iterates over `(address, collection)` pairs in address order.
@@ -1131,9 +1070,7 @@ impl L2State {
                     buf.extend_from_slice(owner.as_bytes());
                     buf.extend_from_slice(approved.as_bytes());
                     buf.extend_from_slice(&coll.token_royalty_bps(token).to_be_bytes());
-                    buf.extend_from_slice(
-                        listing.map_or(Address::ZERO, |l| l.seller).as_bytes(),
-                    );
+                    buf.extend_from_slice(listing.map_or(Address::ZERO, |l| l.seller).as_bytes());
                     buf.extend_from_slice(
                         &listing
                             .map_or(parole_primitives::Wei::ZERO, |l| l.price)
