@@ -51,8 +51,9 @@ fn bench_state_root(c: &mut Criterion) {
     use parole_state::L2State;
 
     let mut group = c.benchmark_group("state_root");
-    // Full rebuild vs the dirty-tracked incremental flush, across world
-    // sizes (10^2..10^5 accounts) and dirty-set sizes (1 and 64 records).
+    // Full rebuild vs the dirty-tracked incremental flush, and the cost of
+    // a fork that writes, across world sizes (10^2..10^5 accounts) and
+    // dirty-set sizes (1 and 64 records).
     for n in [100usize, 1_000, 10_000, 100_000] {
         let mut state = L2State::new();
         for i in 0..n as u64 {
@@ -92,6 +93,27 @@ fn bench_state_root(c: &mut Criterion) {
                 },
             );
             report_keccak_per_flush(&mut warm, n, dirty);
+        }
+
+        // Fork cost: fork the committed world, credit `dirty` accounts on
+        // the fork, flush its root. Pages are copy-on-write, so this pays
+        // for the pages the credits and their tree paths land in, not for
+        // a copy of the world.
+        let _ = state.state_root();
+        for dirty in [1usize, 64] {
+            group.bench_with_input(
+                BenchmarkId::new(format!("fork_dirty{dirty}"), n),
+                &n,
+                |b, _| {
+                    b.iter(|| {
+                        let mut fork = state.fork();
+                        for d in 0..dirty as u64 {
+                            fork.credit(Address::from_low_u64(d % n as u64 + 1), Wei::from_wei(1));
+                        }
+                        black_box(fork.state_root())
+                    })
+                },
+            );
         }
     }
     group.finish();

@@ -14,6 +14,10 @@
 //! - [`CommitTree::insert`] / [`CommitTree::remove`] splice the leaf level
 //!   and rehash only the suffix whose positions shifted.
 //!
+//! The levels are [`PagedVec`]s, so a clone of a resident tree copies page
+//! pointers, and repairing a clone's dirty paths copies only the pages on
+//! those paths; the rest stay shared with the tree it was cloned from.
+//!
 //! The root is **bit-identical** to
 //! `MerkleTree::from_leaves(leaves).root()` for the same leaf sequence at
 //! every point — the equivalence proptests in `tests/prop.rs` replay random
@@ -23,14 +27,16 @@
 
 use crate::keccak::keccak256_concat;
 use crate::merkle::{prove_levels, MerkleProof};
-use parole_primitives::Hash32;
+use parole_primitives::{Hash32, PagedVec};
 
 /// A binary Merkle tree over pre-hashed 32-byte leaves that supports
 /// in-place point edits.
 ///
 /// Structure (levels, unpaired-node promotion, empty-tree sentinel root) is
 /// identical to [`MerkleTree`](crate::MerkleTree); only the maintenance
-/// strategy differs.
+/// strategy and the storage differ: each level is a copy-on-write
+/// [`PagedVec`], so `clone` is O(pages) pointer copies and an edit on the
+/// clone copies one page per level on the edited path.
 ///
 /// # Example
 ///
@@ -50,24 +56,31 @@ use parole_primitives::Hash32;
 pub struct CommitTree {
     /// `levels[0]` is the leaf level; the last level holds the single root
     /// (or is empty for an empty tree).
-    levels: Vec<Vec<Hash32>>,
+    levels: Vec<PagedVec<Hash32>>,
+}
+
+/// The level above `children`: pairs hashed, an unpaired last node promoted.
+/// Pages hold an even number of nodes, so no pair straddles two pages.
+fn parent_level(children: &PagedVec<Hash32>) -> PagedVec<Hash32> {
+    children
+        .pages()
+        .flat_map(|page| page.chunks(2))
+        .map(|pair| match pair {
+            [left, right] => keccak256_concat(left.as_bytes(), right.as_bytes()),
+            [single] => *single,
+            _ => unreachable!("chunks(2) yields one or two nodes"),
+        })
+        .collect()
 }
 
 impl CommitTree {
     /// Builds the tree from pre-hashed leaves (same cost and result as
-    /// [`MerkleTree::from_leaves`](crate::MerkleTree::from_leaves)).
-    pub fn from_leaves(leaves: Vec<Hash32>) -> Self {
-        let mut levels = vec![leaves];
+    /// [`MerkleTree::from_leaves`](crate::MerkleTree::from_leaves)), filling
+    /// each level's pages directly.
+    pub fn from_leaves(leaves: impl IntoIterator<Item = Hash32>) -> Self {
+        let mut levels = vec![leaves.into_iter().collect::<PagedVec<_>>()];
         while levels.last().expect("non-empty").len() > 1 {
-            let prev = levels.last().expect("non-empty");
-            let mut next = Vec::with_capacity(prev.len().div_ceil(2));
-            for pair in prev.chunks(2) {
-                if pair.len() == 2 {
-                    next.push(keccak256_concat(pair[0].as_bytes(), pair[1].as_bytes()));
-                } else {
-                    next.push(pair[0]);
-                }
-            }
+            let next = parent_level(levels.last().expect("non-empty"));
             levels.push(next);
         }
         CommitTree { levels }
@@ -77,14 +90,14 @@ impl CommitTree {
     pub fn root(&self) -> Hash32 {
         self.levels
             .last()
-            .and_then(|l| l.first())
+            .and_then(|l| l.get(0))
             .copied()
             .unwrap_or(Hash32::ZERO)
     }
 
     /// The number of leaves.
     pub fn len(&self) -> usize {
-        self.levels.first().map_or(0, Vec::len)
+        self.levels.first().map_or(0, PagedVec::len)
     }
 
     /// Returns `true` when the tree has no leaves.
@@ -204,7 +217,7 @@ impl CommitTree {
             let child_len = self.levels[level].len();
             let parent_len = child_len.div_ceil(2);
             if self.levels.len() == level + 1 {
-                self.levels.push(Vec::with_capacity(parent_len));
+                self.levels.push(PagedVec::new());
             }
             let start = (from / 2).min(parent_len.saturating_sub(1));
             {
@@ -233,10 +246,24 @@ impl CommitTree {
         self.levels.truncate(level + 1);
     }
 
-    /// The leaf level as a slice (primarily for tests and rebuild
-    /// cross-checks).
-    pub fn leaves(&self) -> &[Hash32] {
-        self.levels.first().map_or(&[], Vec::as_slice)
+    /// The leaf level (primarily for tests and rebuild cross-checks).
+    pub fn leaves(&self) -> &PagedVec<Hash32> {
+        &self.levels[0]
+    }
+
+    /// `(shared, total)` full level pages of this tree that `other` stores
+    /// at the same address (see [`PagedVec::shared_pages`]). Test hook for
+    /// copy-on-write sharing.
+    #[doc(hidden)]
+    pub fn shared_pages(&self, other: &Self) -> (usize, usize) {
+        let empty = PagedVec::new();
+        self.levels
+            .iter()
+            .enumerate()
+            .fold((0, 0), |(shared, total), (i, level)| {
+                let (s, t) = level.shared_pages(other.levels.get(i).unwrap_or(&empty));
+                (shared + s, total + t)
+            })
     }
 
     /// Generates an inclusion proof for the leaf at `index` directly from
@@ -247,7 +274,7 @@ impl CommitTree {
     ///
     /// Returns `None` when `index` is out of bounds.
     pub fn prove(&self, index: usize) -> Option<MerkleProof> {
-        prove_levels(&self.levels, index)
+        prove_levels(&self.levels, index, |level, i| level.get(i).copied())
     }
 }
 

@@ -214,12 +214,12 @@ pub fn keccak256(data: &[u8]) -> Hash32 {
 /// let digests = keccak256_batch(items.iter().copied());
 /// assert_eq!(digests[1], keccak256(b"bb"));
 /// ```
-pub fn keccak256_batch<'a>(preimages: impl IntoIterator<Item = &'a [u8]>) -> Vec<Hash32> {
+pub fn keccak256_batch<P: AsRef<[u8]>>(preimages: impl IntoIterator<Item = P>) -> Vec<Hash32> {
     let mut h = Keccak256::new();
     preimages
         .into_iter()
         .map(|data| {
-            h.update(data);
+            h.update(data.as_ref());
             h.finalize_reset()
         })
         .collect()

@@ -77,26 +77,28 @@ impl MerkleTree {
     ///
     /// Returns `None` when `index` is out of bounds.
     pub fn prove(&self, index: usize) -> Option<MerkleProof> {
-        prove_levels(&self.levels, index)
+        prove_levels(&self.levels, index, |level, i| level.get(i).copied())
     }
 }
 
 /// Builds the sibling path for the leaf at `index` over resident `levels`
-/// (leaf level first, root level last). Shared by [`MerkleTree::prove`] and
-/// [`CommitTree::prove`](crate::CommitTree::prove): both keep the identical
-/// level structure, so one walk serves both.
-pub(crate) fn prove_levels(levels: &[Vec<Hash32>], index: usize) -> Option<MerkleProof> {
-    let len = levels.first().map_or(0, Vec::len);
-    if index >= len {
-        return None;
-    }
+/// (leaf level first, root level last), reading each node in place through
+/// `node(level, i)` (`None` past the level's end). Shared by
+/// [`MerkleTree::prove`] and [`CommitTree::prove`](crate::CommitTree::prove):
+/// both keep the identical level structure, so one walk serves both.
+pub(crate) fn prove_levels<L>(
+    levels: &[L],
+    index: usize,
+    node: impl Fn(&L, usize) -> Option<Hash32>,
+) -> Option<MerkleProof> {
+    node(levels.first()?, index)?;
     let mut path = Vec::new();
     let mut idx = index;
-    for level in &levels[..levels.len().saturating_sub(1)] {
+    for level in &levels[..levels.len() - 1] {
         let sibling = idx ^ 1;
-        if sibling < level.len() {
+        if let Some(hash) = node(level, sibling) {
             path.push(ProofNode {
-                hash: level[sibling],
+                hash,
                 is_left: sibling < idx,
             });
         }

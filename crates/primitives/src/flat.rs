@@ -1,19 +1,23 @@
-//! Handle-interned flat-arena maps for the million-account hot path.
+//! Flat-arena maps for the million-account hot path.
 //!
-//! [`FlatMap`] stores its records in dense slabs (`Vec<K>` / `Vec<V>`) and
-//! resolves keys through a small open-addressing index of `u32` slot handles.
-//! Compared to the pointer-chasing `BTreeMap` it replaces in the state and
-//! NFT crates it gives:
+//! [`FlatMap`] stores its records in dense slabs (keys and values) and
+//! resolves keys through a small open-addressing index of `u32` slot
+//! numbers. All three live in [`PagedVec`]s, so cloning a map copies page
+//! pointers and a clone's first write copies one page. Compared to the
+//! pointer-chasing `BTreeMap` it replaces in the state and NFT crates it
+//! gives:
 //!
 //! - O(1) expected lookup/insert/remove with zero per-record allocation;
 //! - cache-friendly linear scans over the value slab (`values_unordered`);
-//! - stable `u32` handles ("slots") that act as the interned account id
-//!   (`Address → AcctId(u32)`) while a record stays in place — `remove`
-//!   uses swap-remove, so handles are only stable between removals;
+//! - copy-on-write forks: a clone of a 10⁶-record map costs a few thousand
+//!   pointer copies, and writes afterwards copy only the pages they touch;
 //! - a lazily-rebuilt sorted-order cache so deterministic key-sorted
 //!   iteration — which the commitment layer depends on for bit-identical
 //!   state roots — costs one `sort_unstable` after a burst of insertions
 //!   rather than a tree traversal per read.
+//!
+//! Slots are internal: `remove` swap-fills the freed slot from the tail, so
+//! a record's slot moves whenever another record is removed.
 //!
 //! Determinism: the probe hash uses fixed multiply-xor constants (no
 //! `RandomState`), so index layout, iteration and behaviour are identical
@@ -32,7 +36,7 @@
 //! assert_eq!(keys, vec![Address::from_low_u64(3), Address::from_low_u64(9)]);
 //! ```
 
-use crate::{Address, TokenId};
+use crate::{Address, PagedVec, TokenId, PAGE_LEN};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -133,25 +137,25 @@ struct OrderCache {
     stale: bool,
 }
 
-/// A dense, handle-interned hash map. See the [module docs](self).
+/// A dense, paged hash map. See the [module docs](self).
 #[derive(Debug)]
 pub struct FlatMap<K, V> {
-    keys: Vec<K>,
-    vals: Vec<V>,
-    /// Open-addressing table of slot handles into `keys`/`vals`.
+    keys: PagedVec<K>,
+    vals: PagedVec<V>,
+    /// Open-addressing table of slot numbers into `keys`/`vals`.
     /// Power-of-two length; `EMPTY` marks a free bucket.
-    index: Vec<u32>,
+    index: PagedVec<u32>,
     mask: usize,
     order: Mutex<OrderCache>,
 }
 
-impl<K: FlatKey, V> Default for FlatMap<K, V> {
+impl<K: FlatKey, V: Clone> Default for FlatMap<K, V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: FlatKey, V> FlatMap<K, V> {
+impl<K: FlatKey, V: Clone> FlatMap<K, V> {
     /// An empty map.
     pub fn new() -> Self {
         Self::with_capacity(0)
@@ -161,9 +165,9 @@ impl<K: FlatKey, V> FlatMap<K, V> {
     pub fn with_capacity(cap: usize) -> Self {
         let buckets = Self::buckets_for(cap);
         FlatMap {
-            keys: Vec::with_capacity(cap),
-            vals: Vec::with_capacity(cap),
-            index: vec![EMPTY; buckets],
+            keys: PagedVec::with_capacity(cap),
+            vals: PagedVec::with_capacity(cap),
+            index: vec![EMPTY; buckets].into(),
             mask: buckets - 1,
             order: Mutex::new(OrderCache {
                 sorted: Arc::new(Vec::new()),
@@ -187,8 +191,9 @@ impl<K: FlatKey, V> FlatMap<K, V> {
         self.keys.is_empty()
     }
 
+    /// The `(bucket, slot)` holding `key`, if present.
     #[inline]
-    fn bucket_of(&self, key: &K) -> Option<usize> {
+    fn find(&self, key: &K) -> Option<(usize, usize)> {
         let mut i = (key.flat_hash() as usize) & self.mask;
         loop {
             let slot = self.index[i];
@@ -196,53 +201,29 @@ impl<K: FlatKey, V> FlatMap<K, V> {
                 return None;
             }
             if self.keys[slot as usize] == *key {
-                return Some(i);
+                return Some((i, slot as usize));
             }
             i = (i + 1) & self.mask;
         }
     }
 
-    /// The dense slot handle for `key`, if present. Stable until the next
-    /// removal from the map (removal swap-fills the freed slot).
-    #[inline]
-    pub fn slot_of(&self, key: &K) -> Option<u32> {
-        self.bucket_of(key).map(|b| self.index[b])
-    }
-
-    /// The key stored at a dense slot.
-    #[inline]
-    pub fn key_at(&self, slot: u32) -> &K {
-        &self.keys[slot as usize]
-    }
-
-    /// The value stored at a dense slot.
-    #[inline]
-    pub fn val_at(&self, slot: u32) -> &V {
-        &self.vals[slot as usize]
-    }
-
-    /// Mutable value at a dense slot.
-    #[inline]
-    pub fn val_at_mut(&mut self, slot: u32) -> &mut V {
-        &mut self.vals[slot as usize]
-    }
-
     /// Shared reference to the value for `key`.
     #[inline]
     pub fn get(&self, key: &K) -> Option<&V> {
-        self.slot_of(key).map(|s| &self.vals[s as usize])
+        self.find(key).map(|(_, s)| &self.vals[s])
     }
 
     /// Mutable reference to the value for `key`.
     #[inline]
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        self.slot_of(key).map(|s| &mut self.vals[s as usize])
+        let (_, slot) = self.find(key)?;
+        self.vals.get_mut(slot)
     }
 
     /// Whether `key` is present.
     #[inline]
     pub fn contains_key(&self, key: &K) -> bool {
-        self.bucket_of(key).is_some()
+        self.find(key).is_some()
     }
 
     fn grow(&mut self) {
@@ -250,15 +231,19 @@ impl<K: FlatKey, V> FlatMap<K, V> {
         if buckets <= self.index.len() {
             return;
         }
-        self.index = vec![EMPTY; buckets];
-        self.mask = buckets - 1;
+        // Rehash into a plain `Vec` and page it once, rather than paying a
+        // copy-on-write check per bucket write.
+        let mask = buckets - 1;
+        let mut index = vec![EMPTY; buckets];
         for (slot, key) in self.keys.iter().enumerate() {
-            let mut i = (key.flat_hash() as usize) & self.mask;
-            while self.index[i] != EMPTY {
-                i = (i + 1) & self.mask;
+            let mut i = (key.flat_hash() as usize) & mask;
+            while index[i] != EMPTY {
+                i = (i + 1) & mask;
             }
-            self.index[i] = slot as u32;
+            index[i] = slot as u32;
         }
+        self.index = index.into();
+        self.mask = mask;
     }
 
     fn mark_stale(&mut self) {
@@ -268,50 +253,53 @@ impl<K: FlatKey, V> FlatMap<K, V> {
 
     /// Inserts or replaces, returning the previous value if any.
     pub fn insert(&mut self, key: K, val: V) -> Option<V> {
-        if let Some(b) = self.bucket_of(&key) {
-            let slot = self.index[b] as usize;
+        if let Some((_, slot)) = self.find(&key) {
             return Some(std::mem::replace(&mut self.vals[slot], val));
         }
+        self.push_new(key, val);
+        None
+    }
+
+    /// Appends a record for a key the caller found absent.
+    fn push_new(&mut self, key: K, val: V) {
         if (self.keys.len() + 1) * 2 > self.index.len() {
             self.grow();
         }
-        let slot = self.keys.len() as u32;
         let mut i = (key.flat_hash() as usize) & self.mask;
         while self.index[i] != EMPTY {
             i = (i + 1) & self.mask;
         }
-        self.index[i] = slot;
+        self.index[i] = self.keys.len() as u32;
         self.keys.push(key);
         self.vals.push(val);
         self.mark_stale();
-        None
     }
 
-    /// The value for `key`, inserting `default()` first if absent.
-    pub fn get_or_insert_with(&mut self, key: K, default: impl FnOnce() -> V) -> &mut V {
-        let slot = match self.slot_of(&key) {
-            Some(s) => s,
+    /// The value for `key`, inserting `default()` first if absent, and
+    /// whether it was inserted — one lookup either way.
+    pub fn get_or_insert_with(&mut self, key: K, default: impl FnOnce() -> V) -> (&mut V, bool) {
+        let (slot, inserted) = match self.find(&key) {
+            Some((_, s)) => (s, false),
             None => {
-                self.insert(key, default());
-                self.slot_of(&key).expect("just inserted")
+                self.push_new(key, default());
+                (self.len() - 1, true)
             }
         };
-        &mut self.vals[slot as usize]
+        (&mut self.vals[slot], inserted)
     }
 
     /// Removes `key`, returning its value. Swap-fills the freed dense slot
     /// from the tail and repairs both index entries, then backward-shifts
     /// the probe chain so linear probing needs no tombstones.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let bucket = self.bucket_of(key)?;
-        let slot = self.index[bucket] as usize;
+        let (bucket, slot) = self.find(key)?;
         self.remove_bucket(bucket);
         let last = self.keys.len() - 1;
         if slot != last {
             // The record at `last` is about to swap into `slot`; repoint its
             // index entry while the slab still holds it.
-            let moved = self
-                .bucket_of(&self.keys[last])
+            let (moved, _) = self
+                .find(&self.keys[last])
                 .expect("moved record must be indexed");
             debug_assert_eq!(self.index[moved], last as u32);
             self.index[moved] = slot as u32;
@@ -348,22 +336,17 @@ impl<K: FlatKey, V> FlatMap<K, V> {
         }
     }
 
-    /// Drops every record, keeping allocations.
+    /// Drops every record.
     pub fn clear(&mut self) {
         self.keys.clear();
         self.vals.clear();
-        self.index.iter_mut().for_each(|b| *b = EMPTY);
+        self.index = vec![EMPTY; self.index.len()].into();
         self.mark_stale();
     }
 
     /// Unordered iteration in dense-slot order (cache-linear, not sorted).
     pub fn iter_unordered(&self) -> impl Iterator<Item = (&K, &V)> {
         self.keys.iter().zip(self.vals.iter())
-    }
-
-    /// Unordered mutable iteration in dense-slot order.
-    pub fn iter_unordered_mut(&mut self) -> impl Iterator<Item = (&K, &mut V)> {
-        self.keys.iter().zip(self.vals.iter_mut())
     }
 
     /// Unordered value scan in dense-slot order.
@@ -376,12 +359,27 @@ impl<K: FlatKey, V> FlatMap<K, V> {
     pub fn sorted_slots(&self) -> Arc<Vec<u32>> {
         let mut guard = self.order.lock().expect("order cache poisoned");
         if guard.stale || guard.sorted.len() != self.keys.len() {
+            // Sort slot numbers in place (no key copies held beside the
+            // map), reading keys through the page slices directly.
+            let pages: Vec<&[K]> = self.keys.pages().collect();
+            let key = |slot: u32| &pages[slot as usize / PAGE_LEN][slot as usize % PAGE_LEN];
             let mut slots: Vec<u32> = (0..self.keys.len() as u32).collect();
-            slots.sort_unstable_by(|a, b| self.keys[*a as usize].cmp(&self.keys[*b as usize]));
+            slots.sort_unstable_by(|a, b| key(*a).cmp(key(*b)));
             guard.sorted = Arc::new(slots);
             guard.stale = false;
         }
         Arc::clone(&guard.sorted)
+    }
+
+    /// `(shared, total)` full pages of this map's slabs and index that
+    /// `other` stores at the same address (see [`PagedVec::shared_pages`]).
+    /// Test hook for copy-on-write sharing.
+    #[doc(hidden)]
+    pub fn shared_pages(&self, other: &Self) -> (usize, usize) {
+        let (k, kt) = self.keys.shared_pages(&other.keys);
+        let (v, vt) = self.vals.shared_pages(&other.vals);
+        let (i, it) = self.index.shared_pages(&other.index);
+        (k + v + i, kt + vt + it)
     }
 
     /// Key-sorted iteration — byte-identical order to the equivalent
@@ -392,11 +390,6 @@ impl<K: FlatKey, V> FlatMap<K, V> {
             order: self.sorted_slots(),
             pos: 0,
         }
-    }
-
-    /// Key-sorted key iteration.
-    pub fn keys_sorted(&self) -> impl Iterator<Item = &K> {
-        self.iter_sorted().map(|(k, _)| k)
     }
 }
 
@@ -412,9 +405,9 @@ impl<'a, K: FlatKey, V> Iterator for SortedIter<'a, K, V> {
     type Item = (&'a K, &'a V);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let slot = *self.order.get(self.pos)?;
+        let slot = *self.order.get(self.pos)? as usize;
         self.pos += 1;
-        Some((&self.map.keys[slot as usize], &self.map.vals[slot as usize]))
+        Some((&self.map.keys[slot], &self.map.vals[slot]))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -443,7 +436,7 @@ impl<K: FlatKey, V: Clone> Clone for FlatMap<K, V> {
     }
 }
 
-impl<K: FlatKey, V: PartialEq> PartialEq for FlatMap<K, V> {
+impl<K: FlatKey, V: Clone + PartialEq> PartialEq for FlatMap<K, V> {
     /// Content equality: same key set, equal values — independent of
     /// insertion order, probe layout or slot assignment.
     fn eq(&self, other: &Self) -> bool {
@@ -451,9 +444,9 @@ impl<K: FlatKey, V: PartialEq> PartialEq for FlatMap<K, V> {
     }
 }
 
-impl<K: FlatKey, V: Eq> Eq for FlatMap<K, V> {}
+impl<K: FlatKey, V: Clone + Eq> Eq for FlatMap<K, V> {}
 
-impl<K: FlatKey + Serialize, V: Serialize> Serialize for FlatMap<K, V> {
+impl<K: FlatKey + Serialize, V: Clone + Serialize> Serialize for FlatMap<K, V> {
     /// Key-sorted `[k, v]` entries — the same shape the vendored serde
     /// renders a `BTreeMap` as, so swapping backends does not change any
     /// serialized artifact.
@@ -466,7 +459,7 @@ impl<K: FlatKey + Serialize, V: Serialize> Serialize for FlatMap<K, V> {
     }
 }
 
-impl<K: FlatKey + Deserialize, V: Deserialize> Deserialize for FlatMap<K, V> {
+impl<K: FlatKey + Deserialize, V: Clone + Deserialize> Deserialize for FlatMap<K, V> {
     fn from_value(value: &Value) -> Result<Self, DeError> {
         let entries: Vec<(&Value, &Value)> = match value {
             Value::Map(entries) => entries.iter().map(|(k, v)| (k, v)).collect(),
@@ -495,7 +488,7 @@ impl<K: FlatKey + Deserialize, V: Deserialize> Deserialize for FlatMap<K, V> {
     }
 }
 
-impl<K: FlatKey, V> FromIterator<(K, V)> for FlatMap<K, V> {
+impl<K: FlatKey, V: Clone> FromIterator<(K, V)> for FlatMap<K, V> {
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
         let iter = iter.into_iter();
         let mut out = FlatMap::with_capacity(iter.size_hint().0);
@@ -601,10 +594,10 @@ mod tests {
             m.insert(TokenId::new(v), addr(v));
         }
         for v in 0..50u64 {
-            let slot = m.slot_of(&TokenId::new(v)).unwrap();
-            assert!((slot as usize) < m.len());
-            assert_eq!(*m.key_at(slot), TokenId::new(v));
-            assert_eq!(*m.val_at(slot), addr(v));
+            let (_, slot) = m.find(&TokenId::new(v)).unwrap();
+            assert!(slot < m.len());
+            assert_eq!(m.keys[slot], TokenId::new(v));
+            assert_eq!(m.vals[slot], addr(v));
         }
     }
 

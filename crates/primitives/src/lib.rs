@@ -3,8 +3,9 @@
 //! Foundation value types shared by every crate in the PAROLE reproduction:
 //! fixed-point ether amounts ([`Wei`]), signed deltas ([`WeiDelta`]),
 //! account addresses ([`Address`]), token identifiers ([`TokenId`]),
-//! 32-byte hashes ([`Hash32`]), gas quantities ([`Gas`]) and fee bundles
-//! ([`FeeBundle`]).
+//! 32-byte hashes ([`Hash32`]), gas quantities ([`Gas`]), fee bundles
+//! ([`FeeBundle`]), and the copy-on-write storage the world state is built
+//! on ([`PagedVec`] under [`FlatMap`]).
 //!
 //! All arithmetic is integer fixed-point (1 ETH = 10^18 wei) so that the
 //! simulated economics are exact and deterministic. The paper's case studies
@@ -33,6 +34,7 @@ mod flat;
 mod gas;
 mod hash;
 mod ids;
+mod paged;
 mod wei;
 
 pub use address::Address;
@@ -41,6 +43,7 @@ pub use flat::{storage_backend, FlatKey, FlatMap, SortedIter, StorageBackend};
 pub use gas::Gas;
 pub use hash::Hash32;
 pub use ids::{AggregatorId, BlockNumber, TokenId, TxNonce, VerifierId};
+pub use paged::{PagedVec, PAGE_LEN};
 pub use wei::{Wei, WeiDelta, WEI_PER_ETH, WEI_PER_GWEI};
 
 /// Errors produced by arithmetic on primitive value types.

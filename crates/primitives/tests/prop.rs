@@ -1,6 +1,6 @@
 //! Property-based tests for the primitive value types.
 
-use parole_primitives::{Address, FeeBundle, Gas, Wei, WeiDelta};
+use parole_primitives::{Address, FeeBundle, Gas, PagedVec, Wei, WeiDelta, PAGE_LEN};
 use proptest::prelude::*;
 
 proptest! {
@@ -87,5 +87,57 @@ proptest! {
         let direct = Wei::from_wei(*vals.last().unwrap())
             .signed_sub(Wei::from_wei(vals[0]));
         prop_assert_eq!(deltas, direct);
+    }
+
+    /// The paged vector behaves as a `Vec` under every mutation, starting
+    /// within a few elements of a page boundary so pushes and pops cross it,
+    /// and a clone taken mid-script keeps reading the contents it was
+    /// cloned with however the original changes afterwards: writes copy
+    /// shared pages rather than writing through them.
+    #[test]
+    fn paged_vec_matches_vec_and_clones_keep_their_snapshot(
+        pages in 0usize..4,
+        offset in 0usize..6,
+        ops in prop::collection::vec((0u8..8, any::<u32>(), any::<u32>()), 0..300),
+    ) {
+        let init = (pages * PAGE_LEN + offset).saturating_sub(3);
+        let mut model: Vec<u32> = (0..init as u32).collect();
+        let mut paged: PagedVec<u32> = model.iter().copied().collect();
+        let mut snapshots: Vec<(PagedVec<u32>, Vec<u32>)> = Vec::new();
+        for (op, a, b) in ops {
+            let len = model.len();
+            let at = a as usize % len.max(1);
+            match op {
+                0 => {
+                    model.push(b);
+                    paged.push(b);
+                }
+                1 => prop_assert_eq!(paged.pop(), model.pop()),
+                2 if len > 0 => prop_assert_eq!(paged.swap_remove(at), model.swap_remove(at)),
+                3 => {
+                    let at = a as usize % (len + 1);
+                    model.insert(at, b);
+                    paged.insert(at, b);
+                }
+                4 if len > 0 => prop_assert_eq!(paged.remove(at), model.remove(at)),
+                5 if len > 0 => {
+                    model[at] = b;
+                    paged[at] = b;
+                }
+                6 => snapshots.push((paged.clone(), model.clone())),
+                7 => {
+                    let keep = len - (a as usize % 4).min(len);
+                    model.truncate(keep);
+                    paged.truncate(keep);
+                }
+                _ => {}
+            }
+            prop_assert_eq!(paged.len(), model.len());
+        }
+        prop_assert_eq!(paged.to_vec(), model.clone());
+        prop_assert!(paged.get(model.len()).is_none());
+        for (snapshot, contents) in &snapshots {
+            prop_assert_eq!(&snapshot.to_vec(), contents);
+        }
     }
 }

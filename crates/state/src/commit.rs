@@ -27,10 +27,13 @@
 //! list (O(n) hashing) into one flat leaf. Dirty-leaf preimages are piped
 //! through [`keccak256_batch`], which recycles one sponge across the batch.
 //!
-//! Forks share the clean cache copy-on-write: the trees and key vectors live
-//! behind [`Arc`]s (each sub-tree individually), so `L2State::clone` /
-//! `L2State::fork` is O(1) for the commitment state and the first post-fork
-//! flush clones only the sub-trees it actually touches via [`Arc::make_mut`].
+//! Forks share the clean cache copy-on-write: the cache sits behind an
+//! [`Arc`], so `L2State::clone` / `L2State::fork` is O(1) for the
+//! commitment state. The first post-fork flush detaches the cache with
+//! [`Arc::make_mut`], which copies page pointers (the top-level tree and
+//! `acct_keys` are [`PagedVec`]s) and sub-tree `Arc`s, not leaves; repairing
+//! the dirty paths then copies one page per tree level on each path, and
+//! only the sub-trees the flush touches are cloned.
 //!
 //! The resulting root is bit-identical to
 //! [`L2State::state_root_naive`](crate::L2State::state_root_naive), the
@@ -44,7 +47,7 @@ use crate::tables::{AccountTable, CollTable};
 use crate::AccountState;
 use parole_crypto::{keccak256, keccak256_batch, CommitTree, Hash32, MerkleProof};
 use parole_nft::Collection;
-use parole_primitives::{Address, BlockNumber, TokenId, Wei};
+use parole_primitives::{Address, BlockNumber, PagedVec, TokenId, Wei};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -68,19 +71,20 @@ pub(crate) fn meta_preimage(block: BlockNumber) -> [u8; 12] {
     buf
 }
 
-/// Builds the preimage of one account leaf.
+/// Builds the fixed-width preimage of one account leaf:
+/// `"acct" ‖ address ‖ 24u32 ‖ balance (16B BE) ‖ nonce (8B BE)`.
 ///
-/// The preimage is `"acct" ‖ address ‖ len(encoding) ‖ encoding`: the
-/// explicit length prefix makes the encoding injective even if the account
-/// serialization ever grows variable-width fields, so no two distinct
+/// The explicit length prefix is the width of the account encoding
+/// ([`AccountState::encode`]); it keeps the preimage injective should the
+/// account record ever grow variable-width fields, so no two distinct
 /// records can share a preimage.
-pub(crate) fn acct_preimage(addr: Address, acct: &AccountState) -> Vec<u8> {
-    let encoded = acct.encode();
-    let mut buf = Vec::with_capacity(28 + encoded.len());
-    buf.extend_from_slice(b"acct");
-    buf.extend_from_slice(addr.as_bytes());
-    buf.extend_from_slice(&(encoded.len() as u32).to_be_bytes());
-    buf.extend_from_slice(&encoded);
+pub(crate) fn acct_preimage(addr: Address, acct: &AccountState) -> [u8; 52] {
+    let mut buf = [0u8; 52];
+    buf[..4].copy_from_slice(b"acct");
+    buf[4..24].copy_from_slice(addr.as_bytes());
+    buf[24..28].copy_from_slice(&24u32.to_be_bytes());
+    buf[28..44].copy_from_slice(&acct.balance.wei().to_be_bytes());
+    buf[44..52].copy_from_slice(&acct.nonce.value().to_be_bytes());
     buf
 }
 
@@ -259,7 +263,7 @@ impl CollSub {
             .iter()
             .map(|(t, o)| token_preimage_for(coll, t, o))
             .collect();
-        let leaves = keccak256_batch(preimages.iter().map(|p| p.as_slice()));
+        let leaves = keccak256_batch(&preimages);
         CollSub {
             tree: CommitTree::from_leaves(leaves),
             tokens,
@@ -308,7 +312,7 @@ impl CollSub {
                 preimages.push(token_preimage_for(coll, token, owner));
             }
         }
-        let hashes = keccak256_batch(preimages.iter().map(|p| p.as_slice()));
+        let hashes = keccak256_batch(&preimages);
         let updates: Vec<(usize, Hash32)> = positions.into_iter().zip(hashes).collect();
         flushed += updates.len();
         self.tree.update_batch(&updates);
@@ -347,12 +351,16 @@ impl CollDirt {
 /// metadata leaf (block number) first, then all account leaves in address
 /// order, then all collection leaves in address order. Sub-tree leaf order
 /// is token-id order.
+///
+/// The two 10⁶-scale parts, the top-level tree and `acct_keys`, are paged
+/// ([`PagedVec`]), so cloning the cache copies page pointers and a flush on
+/// the clone copies only the pages its dirty paths cross.
 #[derive(Debug, Clone)]
 pub(crate) struct CommitCache {
     tree: CommitTree,
     /// Account addresses in leaf order (sorted); `acct_keys[i]` owns leaf
     /// `1 + i` (leaf 0 is the metadata leaf).
-    acct_keys: Vec<Address>,
+    acct_keys: PagedVec<Address>,
     /// Collection addresses in leaf order; `coll_keys[j]` owns leaf
     /// `1 + acct_keys.len() + j` and sub-tree `coll_subs[j]`.
     coll_keys: Vec<Address>,
@@ -364,27 +372,42 @@ pub(crate) struct CommitCache {
 
 impl CommitCache {
     /// Builds the full commitment from scratch (the one unavoidable O(n)
-    /// pass; every later flush is O(dirty · log n)).
+    /// pass; every later flush is O(dirty · log n)). Account leaves are
+    /// hashed as the sorted walk yields them, straight into the tree's
+    /// leaf pages.
     fn build(accounts: &AccountTable, collections: &CollTable, block: BlockNumber) -> Self {
-        let acct_preimages: Vec<Vec<u8>> = accounts
-            .iter_sorted()
-            .map(|(addr, acct)| acct_preimage(addr, acct))
-            .collect();
-        let mut leaves = vec![keccak256(&meta_preimage(block))];
-        leaves.extend(keccak256_batch(acct_preimages.iter().map(Vec::as_slice)));
-        leaves.reserve(collections.len());
         let mut coll_subs = Vec::with_capacity(collections.len());
-        for (addr, coll) in collections.iter_sorted() {
-            let sub = CollSub::build(coll);
-            leaves.push(keccak256(&coll_preimage(addr, coll, sub.root())));
-            coll_subs.push(Arc::new(sub));
-        }
+        let mut coll_keys = Vec::with_capacity(collections.len());
+        let coll_leaves: Vec<Hash32> = collections
+            .iter_sorted()
+            .map(|(addr, coll)| {
+                let sub = CollSub::build(coll);
+                let leaf = keccak256(&coll_preimage(addr, coll, sub.root()));
+                coll_keys.push(addr);
+                coll_subs.push(Arc::new(sub));
+                leaf
+            })
+            .collect();
+        let acct_leaves = accounts
+            .iter_sorted()
+            .map(|(addr, acct)| keccak256(&acct_preimage(addr, acct)));
+        let leaves = std::iter::once(keccak256(&meta_preimage(block)))
+            .chain(acct_leaves)
+            .chain(coll_leaves);
         CommitCache {
             tree: CommitTree::from_leaves(leaves),
             acct_keys: accounts.iter_sorted().map(|(k, _)| k).collect(),
-            coll_keys: collections.iter_sorted().map(|(k, _)| k).collect(),
+            coll_keys,
             coll_subs,
         }
+    }
+
+    /// `(shared, total)` pages of the top-level tree and `acct_keys` that
+    /// `other` stores at the same address.
+    fn shared_pages(&self, other: &CommitCache) -> (usize, usize) {
+        let (ts, tt) = self.tree.shared_pages(&other.tree);
+        let (ks, kt) = self.acct_keys.shared_pages(&other.acct_keys);
+        (ts + ks, tt + kt)
     }
 
     /// Reconciles the trees with the current world for exactly the dirty
@@ -451,7 +474,7 @@ impl CommitCache {
         // creation path is harmless (deploys are born empty, so the "full
         // rebuild" of a just-created sub-tree is O(1)).
         let mut acct_positions = Vec::new();
-        let mut acct_preimages: Vec<Vec<u8>> = Vec::new();
+        let mut acct_preimages: Vec<[u8; 52]> = Vec::new();
         for &who in dirty_accts.keys() {
             if let (Some(acct), Ok(pos)) = (accounts.get(&who), self.acct_keys.binary_search(&who))
             {
@@ -459,7 +482,7 @@ impl CommitCache {
                 acct_preimages.push(acct_preimage(who, acct));
             }
         }
-        let acct_hashes = keccak256_batch(acct_preimages.iter().map(Vec::as_slice));
+        let acct_hashes = keccak256_batch(&acct_preimages);
         let mut updates: Vec<(usize, Hash32)> =
             acct_positions.into_iter().zip(acct_hashes).collect();
         if dirty_block {
@@ -839,6 +862,16 @@ impl CommitSlot {
         let token_path = sub.tree.prove(token_pos)?;
         let header_path = cache.tree.prove(1 + cache.acct_keys.len() + pos)?;
         Some((token_path, header_path))
+    }
+
+    /// `(shared, total)` pages of this slot's materialized cache (top-level
+    /// tree and `acct_keys`) that `other`'s cache stores at the same address;
+    /// `(0, 0)` unless both slots have a cache.
+    pub(crate) fn shared_pages(&self, other: &CommitSlot) -> (usize, usize) {
+        match (self.cache.as_deref(), other.cache.as_deref()) {
+            (Some(mine), Some(theirs)) => mine.shared_pages(theirs),
+            _ => (0, 0),
+        }
     }
 
     /// Test-only sabotage: tampers with one cached top-level *record* leaf

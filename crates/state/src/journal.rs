@@ -7,13 +7,15 @@
 //! the checkpoint) — usually a handful of `Copy` account records and small
 //! per-token undo entries.
 //!
-//! See `DESIGN.md` ("Journaled state forks") for why an undo log was chosen
-//! over Arc-based copy-on-write.
+//! Forks are cheap too (the state's storage is paged copy-on-write), but a
+//! fork still copies page pointers and each page it writes; see `DESIGN.md`
+//! §4c for why the reorder search rolls back through this journal instead.
 
 use crate::AccountState;
 use parole_nft::{Collection, CollectionUndo, OperatorUndo};
 use parole_primitives::{Address, BlockNumber, TokenId};
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A conflict-domain key naming one record of the world state — the unit at
 /// which the parallel block executor detects read/write conflicts.
@@ -89,14 +91,20 @@ pub fn key_sets_conflict(a: &BTreeSet<RecordKey>, b: &BTreeSet<RecordKey>) -> bo
     false
 }
 
-/// An opaque position in the undo log, produced by
+/// An opaque position in one state's undo log, produced by
 /// [`crate::L2State::checkpoint`] and consumed by
-/// [`crate::L2State::revert_to`].
+/// [`crate::L2State::revert_to`] and [`crate::L2State::touched_since`].
 ///
-/// Checkpoints are only meaningful for the state that produced them, and
-/// only while that state has not been reverted past them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Checkpoint(pub(crate) usize);
+/// A checkpoint names the journal that issued it. Every new, cloned or
+/// deserialized state starts a journal of its own, so a checkpoint handed to
+/// another state (a parent's checkpoint on its fork, say), or to the issuing
+/// state after it reverted past it, makes those calls panic instead of
+/// rewinding the wrong history.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Checkpoint {
+    journal: u64,
+    index: usize,
+}
 
 /// One journaled mutation, storing whatever is needed to undo it.
 ///
@@ -132,11 +140,57 @@ pub(crate) enum JournalEntry {
 /// The undo log attached to an [`crate::L2State`].
 ///
 /// Not serialized and not carried across clones: a checkpoint indexes one
-/// particular state's mutation history and is meaningless anywhere else.
-#[derive(Debug, Default)]
+/// particular state's mutation history and is meaningless anywhere else, so
+/// every journal draws a fresh identity that its checkpoints carry.
+#[derive(Debug)]
 pub(crate) struct Journal {
+    id: u64,
     pub(crate) entries: Vec<JournalEntry>,
     pub(crate) recording: bool,
+}
+
+impl Default for Journal {
+    fn default() -> Self {
+        // Relaxed: the id publishes no other data, it only has to be unique.
+        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+        Journal {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            entries: Vec::new(),
+            recording: false,
+        }
+    }
+}
+
+impl Journal {
+    /// The current end of the log.
+    pub(crate) fn checkpoint(&self) -> Checkpoint {
+        Checkpoint {
+            journal: self.id,
+            index: self.entries.len(),
+        }
+    }
+
+    /// The log index `cp` marks.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cp` was issued by another journal, or lies beyond this
+    /// log's end (the state was reverted past it).
+    pub(crate) fn index_of(&self, cp: Checkpoint) -> usize {
+        assert!(
+            cp.journal == self.id,
+            "checkpoint issued by journal {} handed to journal {}",
+            cp.journal,
+            self.id
+        );
+        assert!(
+            cp.index <= self.entries.len(),
+            "checkpoint index {} beyond journal length {}",
+            cp.index,
+            self.entries.len()
+        );
+        cp.index
+    }
 }
 
 #[cfg(test)]

@@ -5,10 +5,14 @@
 //! aggregators commit to as part of their fraud proof (paper §II-A, §V-A).
 //!
 //! [`L2State`] is a plain value type — cloning it is the speculative-execution
-//! primitive. The GENTRANSEQ module's DQN environment forks the state once
-//! per candidate ordering, executes the sequence against the fork, reads the
-//! IFU's final balance, and discards the fork; nothing ever mutates the
-//! canonical state until the adversarial aggregator commits the chosen order.
+//! primitive, and a cheap one: its tables and commitment cache are stored in
+//! copy-on-write pages, so a clone copies page pointers and each side's
+//! writes copy only the pages they touch. The GENTRANSEQ module's DQN
+//! environment forks the state once per window, evaluates candidate
+//! orderings on the fork (rolling back through the undo journal between
+//! candidates), reads the IFU's final balance, and discards the fork;
+//! nothing ever mutates the canonical state until the adversarial
+//! aggregator commits the chosen order.
 //!
 //! # Example
 //!

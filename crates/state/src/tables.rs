@@ -1,9 +1,9 @@
 //! Dual-backend hot-state tables: accounts and collections.
 //!
-//! The million-account hot path stores both world-state maps as
-//! handle-interned arenas ([`parole_primitives::FlatMap`]): the address
-//! interner is the flat map's open-addressing index (`Address → slot(u32)`),
-//! and the account records live in a dense `Vec` slab behind it. The
+//! The million-account hot path stores both world-state maps as flat
+//! arenas ([`parole_primitives::FlatMap`]): an open-addressing index over
+//! dense key and record slabs, all three in copy-on-write pages, so a
+//! cloned table shares every page it has not written. The
 //! original `BTreeMap` layout is retained as an in-process baseline variant
 //! so the traffic harness and the differential test suites can A/B both
 //! layouts in a single run (`PAROLE_STATE_BACKEND` picks the process
@@ -19,6 +19,7 @@ use crate::AccountState;
 use parole_nft::Collection;
 use parole_primitives::{Address, FlatMap, StorageBackend};
 use serde::{DeError, Deserialize, Serialize, Value};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// Generates the shared table plumbing for a `(Address → V)` world-state
@@ -109,6 +110,16 @@ macro_rules! table_impl {
                 }
             }
 
+            /// `(shared, total)` copy-on-write pages of this table that
+            /// `other` stores at the same address; `(0, 0)` unless both are
+            /// on the arena backend (`BTree` clones are deep).
+            pub(crate) fn shared_pages(&self, other: &Self) -> (usize, usize) {
+                match (self, other) {
+                    ($name::Flat(a), $name::Flat(b)) => a.shared_pages(b),
+                    _ => (0, 0),
+                }
+            }
+
             /// Record scan in unspecified order (dense-slab linear on the
             /// arena backend) — for order-insensitive folds only.
             pub(crate) fn values_unordered(&self) -> Box<dyn Iterator<Item = &$val> + '_> {
@@ -163,9 +174,8 @@ macro_rules! table_impl {
 
 /// The account ledger: `Address → AccountState` (balance + nonce).
 ///
-/// The arena variant is the ISSUE's "address interner + dense
-/// `Vec<AccountState>` slab": the flat map's index interns each address to a
-/// `u32` slot, and the 24-byte account records pack contiguously.
+/// The arena variant packs the account records contiguously in paged slabs
+/// behind the flat map's open-addressing index.
 #[derive(Debug, Clone)]
 pub(crate) enum AccountTable {
     /// Dense slab + open-addressing interner.
@@ -179,11 +189,15 @@ table_impl!(AccountTable, AccountState);
 impl AccountTable {
     /// Mutable record for `key`, inserting the default (zero balance, zero
     /// nonce) first if absent — the `entry().or_default()` of the hot
-    /// credit/nonce paths.
-    pub(crate) fn or_default_mut(&mut self, key: Address) -> &mut AccountState {
+    /// credit/nonce paths — and whether it was inserted, so the caller can
+    /// journal the prior record without a second lookup.
+    pub(crate) fn or_default_mut(&mut self, key: Address) -> (&mut AccountState, bool) {
         match self {
             AccountTable::Flat(m) => m.get_or_insert_with(key, AccountState::default),
-            AccountTable::BTree(m) => m.entry(key).or_default(),
+            AccountTable::BTree(m) => match m.entry(key) {
+                Entry::Occupied(e) => (e.into_mut(), false),
+                Entry::Vacant(e) => (e.insert(AccountState::default()), true),
+            },
         }
     }
 }
@@ -213,8 +227,8 @@ mod tests {
         let mut flat = AccountTable::new(StorageBackend::Arena);
         let mut tree = AccountTable::new(StorageBackend::BTree);
         for v in [7u64, 3, 9, 1, 100, 42] {
-            flat.or_default_mut(addr(v)).balance += Wei::from_eth(v);
-            tree.or_default_mut(addr(v)).balance += Wei::from_eth(v);
+            flat.or_default_mut(addr(v)).0.balance += Wei::from_eth(v);
+            tree.or_default_mut(addr(v)).0.balance += Wei::from_eth(v);
         }
         flat.remove(&addr(9));
         tree.remove(&addr(9));
@@ -232,7 +246,7 @@ mod tests {
     #[test]
     fn account_table_roundtrips_through_serde() {
         let mut flat = AccountTable::new(StorageBackend::Arena);
-        flat.or_default_mut(addr(5)).balance = Wei::from_eth(2);
+        flat.or_default_mut(addr(5)).0.balance = Wei::from_eth(2);
         let back = AccountTable::from_value(&flat.to_value()).unwrap();
         assert_eq!(flat, back);
     }

@@ -76,12 +76,16 @@ enum NftTouch {
 
 /// The L2 chain's world state: accounts plus deployed NFT collections.
 ///
-/// `L2State` is `Clone`; a clone is an independent speculative fork. For the
-/// reorder-search hot path there is a much cheaper forking mechanism: switch
-/// on [`L2State::begin_recording`] and use [`L2State::checkpoint`] /
-/// [`L2State::revert_to`] to roll mutations back in place instead of cloning
-/// the whole world per candidate. See the crate docs for how the attack
-/// machinery uses both.
+/// `L2State` is `Clone`; a clone is an independent speculative fork, and a
+/// cheap one. The account and collection tables and the commitment cache
+/// are stored in copy-on-write pages ([`parole_primitives::PagedVec`]), so a
+/// clone copies page pointers, and each side's first write to a page copies
+/// that page alone (on the default arena backend; the `BTree` baseline
+/// clones deeply). For in-place LIFO speculation there is a second
+/// mechanism: switch on [`L2State::begin_recording`] and use
+/// [`L2State::checkpoint`] / [`L2State::revert_to`] to roll mutations back
+/// without forking at all. See the crate docs for how the attack machinery
+/// uses both.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct L2State {
     accounts: AccountTable,
@@ -94,10 +98,11 @@ pub struct L2State {
     journal: Journal,
     /// Memoized state commitment plus dirty sets (see `crate::commit`).
     /// Excluded from serialization and equality — it is derived state, and
-    /// `state_root()` rebuilds it on demand. Clones *do* carry it: the tree
-    /// sits behind an `Arc`, so forking shares the parent's clean leaf cache
-    /// copy-on-write. Interior mutability (a mutex, never contended on the
-    /// single-owner hot path) lets `state_root(&self)` flush lazily.
+    /// `state_root()` rebuilds it on demand. Clones *do* carry it: the cache
+    /// sits behind an `Arc` over paged trees, so forking shares the parent's
+    /// clean leaf cache copy-on-write, page by page. Interior mutability (a
+    /// mutex, never contended on the single-owner hot path) lets
+    /// `state_root(&self)` flush lazily.
     #[serde(skip)]
     commit: Mutex<CommitSlot>,
     /// Whether reads are being recorded into `reads`. A plain field (not
@@ -177,10 +182,13 @@ impl L2State {
 
     /// An independent speculative fork of this state.
     ///
-    /// Identical to `clone()`, named for the hot path: the fork shares the
-    /// parent's clean commitment cache copy-on-write, so the fork's first
-    /// `state_root()` after executing a window re-hashes only the records
-    /// the window touched instead of the whole world.
+    /// Identical to `clone()`, named for the hot path. The fork shares every
+    /// page of the parent's tables and commitment cache: forking a
+    /// 10⁶-account world copies a few thousand page pointers, a write on
+    /// either side copies the one page it lands in, and the fork's first
+    /// `state_root()` re-hashes only the records it touched and copies only
+    /// the tree pages on their paths. The fork starts its own journal, so
+    /// the parent's checkpoints do not apply to it.
     pub fn fork(&self) -> L2State {
         self.clone()
     }
@@ -265,9 +273,14 @@ impl L2State {
     /// deployments yield the wildcard `CollAll` key, which
     /// [`crate::key_sets_conflict`] treats as overlapping the header and
     /// every token of that collection.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cp` was issued by another state, or this state has been
+    /// reverted past it.
     pub fn touched_since(&self, cp: Checkpoint) -> BTreeSet<RecordKey> {
         let mut keys = BTreeSet::new();
-        for entry in &self.journal.entries[cp.0.min(self.journal.entries.len())..] {
+        for entry in &self.journal.entries[self.journal.index_of(cp)..] {
             match entry {
                 JournalEntry::Account { who, .. } => {
                     keys.insert(RecordKey::Acct(*who));
@@ -290,23 +303,27 @@ impl L2State {
 
     /// Marks the current point in the undo log.
     pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint(self.journal.entries.len())
+        self.journal.checkpoint()
     }
 
     /// Rolls back every mutation journaled after `cp`, newest first,
     /// restoring the exact state that existed when the checkpoint was
     /// taken. Checkpoints taken after `cp` are invalidated.
     ///
-    /// Reverting to a checkpoint from a different state (or one already
-    /// reverted past) is a logic error; it either panics or silently
-    /// reconstructs garbage.
+    /// # Panics
+    ///
+    /// Panics, naming both journals, when `cp` was issued by a different
+    /// state (a fork and its parent keep separate journals), and, naming
+    /// the index and the journal length, when this state has already been
+    /// reverted past `cp`.
     pub fn revert_to(&mut self, cp: Checkpoint) {
-        let depth = self.journal.entries.len().saturating_sub(cp.0);
+        let target = self.journal.index_of(cp);
+        let depth = self.journal.entries.len() - target;
         if depth > 0 {
             parole_telemetry::counter("state.reverts", 1);
             parole_telemetry::observe("state.revert_depth", depth as u64);
         }
-        while self.journal.entries.len() > cp.0 {
+        while self.journal.entries.len() > target {
             // A rollback is a mutation as far as the commitment cache is
             // concerned — but an *inverse* one: undoing an entry journaled
             // after the last flush cancels that entry's dirty mark, and a
@@ -353,7 +370,7 @@ impl L2State {
                 }
             }
         }
-        Self::slot_mut(&mut self.commit).journal_truncated(cp.0);
+        Self::slot_mut(&mut self.commit).journal_truncated(target);
         // A rollback ends the speculation that produced the pending reads;
         // a stale read set must not leak into the next speculative run.
         self.reads
@@ -370,18 +387,21 @@ impl L2State {
         commit.get_mut().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Journals the full prior record of `who` (cheap: `AccountState` is
-    /// `Copy`) if recording is on, and marks the account dirty for the
-    /// commitment cache. Must be called before the mutation.
+    /// Applies `write` to `who`'s record, creating it (zero balance, zero
+    /// nonce) if absent. Marks the account dirty for the commitment cache
+    /// and, if recording, journals the full prior record first (cheap:
+    /// `AccountState` is `Copy`) — one table lookup for both.
     #[inline]
-    fn journal_account(&mut self, who: Address) {
+    fn write_account(&mut self, who: Address, write: impl FnOnce(&mut AccountState)) {
         Self::slot_mut(&mut self.commit).mark_acct(who);
+        let (acct, created) = self.accounts.or_default_mut(who);
         if self.journal.recording {
-            self.journal.entries.push(JournalEntry::Account {
-                who,
-                prev: self.accounts.get(&who).copied(),
-            });
+            let prev = (!created).then_some(*acct);
+            self.journal
+                .entries
+                .push(JournalEntry::Account { who, prev });
         }
+        write(acct);
     }
 
     /// The current L2 block number.
@@ -423,8 +443,7 @@ impl L2State {
 
     /// Credits `amount` to `who`, creating the account if needed.
     pub fn credit(&mut self, who: Address, amount: Wei) {
-        self.journal_account(who);
-        self.accounts.or_default_mut(who).balance += amount;
+        self.write_account(who, |acct| acct.balance += amount);
     }
 
     /// Debits `amount` from `who`.
@@ -443,8 +462,7 @@ impl L2State {
                 requested: amount,
             });
         }
-        self.journal_account(who);
-        self.accounts.or_default_mut(who).balance -= amount;
+        self.write_account(who, |acct| acct.balance -= amount);
         Ok(())
     }
 
@@ -467,9 +485,7 @@ impl L2State {
 
     /// Bumps `who`'s nonce, creating the account if needed.
     pub fn bump_nonce(&mut self, who: Address) {
-        self.journal_account(who);
-        let acct = self.accounts.or_default_mut(who);
-        acct.nonce = acct.nonce.next();
+        self.write_account(who, |acct| acct.nonce = acct.nonce.next());
     }
 
     /// Deploys a collection at a deterministic address derived from its
@@ -1232,6 +1248,29 @@ impl L2State {
         Self::slot_mut(&mut self.commit).corrupt_subtree_for_tests(collections)
     }
 
+    /// `(shared, total)`: how many of this state's copy-on-write pages
+    /// (account and collection tables, commitment tree, account key index)
+    /// `other` stores at the same address, out of how many it has. A fork
+    /// shares every page with its parent until one of them writes; test
+    /// hook for that sharing, not part of the stable API.
+    #[doc(hidden)]
+    pub fn shared_pages(&self, other: &L2State) -> (usize, usize) {
+        let commit = if std::ptr::eq(self, other) {
+            let slot = self.commit_slot();
+            slot.shared_pages(&slot)
+        } else {
+            self.commit_slot().shared_pages(&other.commit_slot())
+        };
+        let parts = [
+            self.accounts.shared_pages(&other.accounts),
+            self.collections.shared_pages(&other.collections),
+            commit,
+        ];
+        parts
+            .iter()
+            .fold((0, 0), |(s, t), &(ps, pt)| (s + ps, t + pt))
+    }
+
     /// Number of records currently marked dirty in the commitment slot.
     /// Test/telemetry hook for asserting that rollbacks cancel dirty marks;
     /// not part of the stable API.
@@ -1587,5 +1626,47 @@ mod tests {
         assert!(s.debit(addr(2), Wei::from_eth(50)).is_err());
         s.revert_to(cp);
         assert_eq!(s, baseline);
+    }
+
+    #[test]
+    #[should_panic(expected = "handed to journal")]
+    fn revert_to_a_parents_checkpoint_on_its_fork_panics() {
+        let (s, _) = journaled_fixture();
+        let cp = s.checkpoint();
+        let mut fork = s.fork();
+        fork.begin_recording();
+        fork.revert_to(cp);
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint index 1 beyond journal length 0")]
+    fn revert_to_a_checkpoint_reverted_past_panics() {
+        let (mut s, _) = journaled_fixture();
+        let start = s.checkpoint();
+        s.credit(addr(3), Wei::from_eth(1));
+        let later = s.checkpoint();
+        s.revert_to(start);
+        s.revert_to(later);
+    }
+
+    #[test]
+    #[should_panic(expected = "handed to journal")]
+    fn touched_since_a_deserialized_copys_checkpoint_panics() {
+        let (s, _) = journaled_fixture();
+        let cp = s.checkpoint();
+        let copy = L2State::from_value(&s.to_value()).unwrap();
+        assert_eq!(copy, s);
+        let _ = copy.touched_since(cp);
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint index 1 beyond journal length 0")]
+    fn touched_since_a_checkpoint_reverted_past_panics() {
+        let (mut s, _) = journaled_fixture();
+        let start = s.checkpoint();
+        s.credit(addr(3), Wei::from_eth(1));
+        let later = s.checkpoint();
+        s.revert_to(start);
+        let _ = s.touched_since(later);
     }
 }
