@@ -159,11 +159,9 @@ fn bench_nft_flush(c: &mut Criterion) {
     use parole_state::L2State;
 
     let mut group = c.benchmark_group("nft_flush");
-    // Single token op in a collection with n active tokens: the retired
-    // flat commitment re-absorbed the entire ownership list into one leaf
-    // preimage (O(n) hashing per op); the hierarchical pipeline re-hashes
-    // one 52-byte token leaf plus O(log n) sub-tree nodes and the 80-byte
-    // collection header.
+    // Single token op in a collection with n active tokens: the
+    // hierarchical pipeline re-hashes one token leaf plus O(log n)
+    // sub-tree nodes and the collection header.
     for n in [1_000usize, 10_000, 100_000] {
         let mut state = L2State::new();
         for i in 0..64u64 {
@@ -182,26 +180,7 @@ fn bench_nft_flush(c: &mut Criterion) {
                 .unwrap();
         }
 
-        // Flat baseline, reimplemented locally: the pre-hierarchy
-        // `coll_leaf` preimage ("coll" ‖ addr ‖ supplies ‖ (token ‖ owner)*)
-        // every token op used to re-hash in full.
-        let coll = state.collection(coll_addr).unwrap().clone();
-        group.bench_with_input(BenchmarkId::new("flat_rehash", n), &n, |b, _| {
-            b.iter(|| {
-                let mut buf = Vec::with_capacity(48 + coll.active_supply() as usize * 28);
-                buf.extend_from_slice(b"coll");
-                buf.extend_from_slice(coll_addr.as_bytes());
-                buf.extend_from_slice(&coll.remaining_supply().to_be_bytes());
-                buf.extend_from_slice(&coll.active_supply().to_be_bytes());
-                for (token, owner) in coll.iter() {
-                    buf.extend_from_slice(&token.value().to_be_bytes());
-                    buf.extend_from_slice(owner.as_bytes());
-                }
-                black_box(keccak256(&buf))
-            })
-        });
-
-        // Hierarchical path: one real transfer plus the incremental flush.
+        // One real transfer plus the incremental flush.
         let mut warm = state.clone();
         let _ = warm.state_root(); // materialize the two-level cache
         let mut t = 0u64;
@@ -356,44 +335,6 @@ fn bench_parallel_exec(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_traffic(c: &mut Criterion) {
-    use parole_bench::traffic::{generate_blocks, run_traffic, PoolVariant, TrafficConfig};
-    use parole_mempool::ExecMode;
-    use parole_primitives::StorageBackend;
-
-    let mut group = c.benchmark_group("traffic");
-    // One iteration is a whole (small) sustained-traffic run — world build,
-    // standing backlog, warm-up block and timed blocks — so keep the
-    // dimensions modest and the sample count low.
-    group.sample_size(10);
-    let mut cfg = TrafficConfig::fast();
-    cfg.accounts = 2_000;
-    cfg.blocks = 6;
-    cfg.backlog = 2_000;
-    let schedule = generate_blocks(&cfg);
-    for (name, variant) in [
-        ("arena_indexed", PoolVariant::Indexed),
-        ("btree_legacy_sort", PoolVariant::LegacyFullSort),
-    ] {
-        let backend = match variant {
-            PoolVariant::Indexed => StorageBackend::Arena,
-            PoolVariant::LegacyFullSort => StorageBackend::BTree,
-        };
-        group.bench_with_input(
-            BenchmarkId::new("seal_pipeline", name),
-            &variant,
-            |b, &v| {
-                b.iter(|| {
-                    let run = run_traffic(&cfg, &schedule, backend, v, ExecMode::Serial);
-                    assert!(run.root_matches_naive);
-                    black_box(run.blocks_per_sec)
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_dqn(c: &mut Criterion) {
     let mut group = c.benchmark_group("dqn");
     // The paper-shaped network for a mempool of 50: 400 inputs, C(50,2)
@@ -414,7 +355,7 @@ criterion_group!(
         .sample_size(10)
         .measurement_time(std::time::Duration::from_secs(3))
         .warm_up_time(std::time::Duration::from_secs(1));
-    targets = bench_crypto, bench_ovm, bench_state_root, bench_nft_flush, bench_mempool, bench_calldata, bench_reorder_env, bench_parallel_exec, bench_traffic, bench_dqn
+    targets = bench_crypto, bench_ovm, bench_state_root, bench_nft_flush, bench_mempool, bench_calldata, bench_reorder_env, bench_parallel_exec, bench_dqn
 );
 // Hand-rolled `criterion_main!`: identical dispatch, plus the telemetry
 // panic hook so an assertion inside a benchmark still dumps the armed

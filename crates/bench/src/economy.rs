@@ -77,7 +77,7 @@ impl Economy {
     /// clone-per-candidate evaluator pays to copy all of it on *every*
     /// candidate ordering; the journaled prefix evaluator pays only for what
     /// the window's transactions actually touch. The `reorder_env` kernel
-    /// benchmarks and `perf_report` measure on this enriched state.
+    /// benchmarks measure on this enriched state.
     pub fn with_background(mut self, accounts: usize, collections: usize) -> Self {
         for i in 0..accounts as u64 {
             self.state

@@ -12,8 +12,8 @@
 //! This crate provides:
 //!
 //! - [`BedrockMempool`] — a lazily-maintained priority index (max-heap on
-//!   effective tip with FIFO tie-breaking, parked sub-cap transactions,
-//!   optional per-sender chains) with fixed-interval block pacing —
+//!   effective tip with FIFO tie-breaking, parked sub-cap transactions)
+//!   with fixed-interval block pacing —
 //!   `collect(n)` is O(n log P), not a full-pool sort;
 //! - [`SharedMempool`] — a thread-safe handle for fleet simulations where
 //!   many aggregators drain one mempool concurrently;

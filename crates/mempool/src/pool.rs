@@ -2,10 +2,8 @@
 //!
 //! # Indexed priority queue
 //!
-//! The pool used to keep one flat `Vec` of pending transactions and re-sort
-//! the *entire* population on every `collect` — O(P log P) per block, which
-//! dominates block sealing once the pool holds more transactions than a
-//! block admits. It is now a lazily-maintained priority index:
+//! The pool is a lazily-maintained priority index, so sealing a block costs
+//! O(block · log P) rather than a sort of all P pending transactions:
 //!
 //! - **Ready heap** — a max-heap keyed by (effective tip at the pool's base
 //!   fee, arrival FIFO tie-break). `collect(n)` pops `n` entries:
@@ -26,33 +24,16 @@
 //!   preserves every key and every parking decision, and the "rebuild" is
 //!   O(1) — under EIP-1559 drift with healthy fee caps this makes re-keys
 //!   vanish entirely (witnessed by [`PoolOpStats::rekeys_skipped`]).
-//! - **Per-sender chains (opt-in)** — with
-//!   [`BedrockMempool::with_sender_chains`], each sender has at most one
-//!   transaction in the ready heap; later submissions queue behind it and
-//!   are released in arrival order as earlier ones are collected. Default
-//!   off, preserving the historical "every tx competes independently"
-//!   semantics.
 //!
 //! Every structural operation bumps a [`PoolOpStats`] counter (mirrored to
 //! telemetry), so tests can pin the complexity claim directly: collecting a
 //! block touches O(block) heap entries, not O(pool).
-//!
-//! # The legacy baseline
-//!
-//! [`BedrockMempool::legacy_full_sort`] constructs a pool that reproduces
-//! the historical flat-`Vec` implementation byte for byte: every `collect`
-//! filters and sorts the whole population and compacts the vector. It
-//! exists as an in-process A/B baseline for the sustained-traffic harness —
-//! both variants drain in the identical (tip desc, arrival asc) order, so a
-//! benchmark can swap one for the other without changing a single sealed
-//! block. [`PoolOpStats::full_sorts`] / [`PoolOpStats::sort_scanned`]
-//! witness the O(P log P)-per-block behaviour being measured.
 
 use parking_lot::Mutex;
 use parole_ovm::NftTransaction;
-use parole_primitives::{Address, Wei};
+use parole_primitives::Wei;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -96,8 +77,8 @@ impl Ord for Ranked {
 
 /// Structural-operation counters for the priority index.
 ///
-/// These are the complexity witnesses: a `collect(n)` performs exactly the
-/// heap pops it returns transactions (plus chain releases), and rebuilds
+/// These are the complexity witnesses: a `collect(n)` performs exactly as
+/// many heap pops as it returns transactions, and rebuilds
 /// happen only when the base fee moves — never per block with a stable fee.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolOpStats {
@@ -114,10 +95,6 @@ pub struct PoolOpStats {
     /// Base-fee changes absorbed without touching the index (the new fee
     /// stayed inside the window where no key or parking decision moves).
     pub rekeys_skipped: u64,
-    /// Legacy mode only: whole-pool sorts performed by `collect`.
-    pub full_sorts: u64,
-    /// Legacy mode only: entries scanned across all full sorts.
-    pub sort_scanned: u64,
 }
 
 /// Bedrock's private mempool.
@@ -131,18 +108,10 @@ pub struct PoolOpStats {
 /// [module docs](self) for the index layout.
 #[derive(Debug)]
 pub struct BedrockMempool {
-    /// `Some` puts the pool in legacy flat-`Vec` mode: this vector holds
-    /// every pending transaction and the index structures stay empty.
-    legacy: Option<Vec<Pending>>,
     /// Includable transactions keyed at `keyed_base_fee`.
     ready: BinaryHeap<Ranked>,
     /// Transactions whose fee cap is below `keyed_base_fee`.
     parked: Vec<Pending>,
-    /// Per-sender queues waiting behind an in-index head (chains mode).
-    chained: BTreeMap<Address, VecDeque<Pending>>,
-    /// Senders with a head currently in `ready`/`parked` (chains mode).
-    live_heads: BTreeSet<Address>,
-    sender_chains: bool,
     base_fee: Wei,
     /// The base fee the heap keys and the parked screening were computed
     /// at; `!= base_fee` means the index is stale.
@@ -168,12 +137,8 @@ impl BedrockMempool {
     /// interval of 2 ticks (Bedrock's 2-second blocks).
     pub fn new(base_fee: Wei) -> Self {
         BedrockMempool {
-            legacy: None,
             ready: BinaryHeap::new(),
             parked: Vec::new(),
-            chained: BTreeMap::new(),
-            live_heads: BTreeSet::new(),
-            sender_chains: false,
             base_fee,
             keyed_base_fee: base_fee,
             sat_threshold: None,
@@ -184,45 +149,6 @@ impl BedrockMempool {
             now: 0,
             ops: PoolOpStats::default(),
         }
-    }
-
-    /// Creates a pool in legacy flat-`Vec` mode: `collect` filters and
-    /// sorts the whole population every call, exactly as the pre-index
-    /// implementation did. Drain order is identical to the indexed pool
-    /// (tip desc, arrival asc), so the two are drop-in interchangeable —
-    /// this constructor exists as the measured baseline for the
-    /// sustained-traffic harness. See the [module docs](self).
-    pub fn legacy_full_sort(base_fee: Wei) -> Self {
-        let mut pool = Self::new(base_fee);
-        pool.legacy = Some(Vec::new());
-        pool
-    }
-
-    /// Whether this pool runs in legacy flat-`Vec` mode.
-    pub fn is_legacy(&self) -> bool {
-        self.legacy.is_some()
-    }
-
-    /// Enables per-sender FIFO chains (builder-style, off by default): each
-    /// sender has at most one transaction competing in the priority index;
-    /// later submissions wait behind it in arrival order.
-    #[must_use]
-    pub fn with_sender_chains(mut self, on: bool) -> Self {
-        assert!(
-            self.total == 0,
-            "chain mode must be chosen before transactions are submitted"
-        );
-        assert!(
-            self.legacy.is_none(),
-            "sender chains are not available in legacy full-sort mode"
-        );
-        self.sender_chains = on;
-        self
-    }
-
-    /// Whether per-sender FIFO chains are enabled.
-    pub fn sender_chains(&self) -> bool {
-        self.sender_chains
     }
 
     /// The base fee used for effective-tip computation.
@@ -241,7 +167,7 @@ impl BedrockMempool {
         self.ops
     }
 
-    /// Number of pending transactions (including parked and chained ones).
+    /// Number of pending transactions (including parked ones).
     pub fn len(&self) -> usize {
         self.total
     }
@@ -268,21 +194,8 @@ impl BedrockMempool {
         let arrival = self.next_arrival;
         self.next_arrival += 1;
         self.total += 1;
-        let pending = Pending { tx, arrival };
-        if let Some(flat) = self.legacy.as_mut() {
-            flat.push(pending);
-            return;
-        }
         self.ensure_fresh();
-        if self.sender_chains && !self.live_heads.insert(tx.sender) {
-            // The sender already has a head in the index; queue behind it.
-            self.chained
-                .entry(tx.sender)
-                .or_default()
-                .push_back(pending);
-            return;
-        }
-        self.place(pending);
+        self.place(Pending { tx, arrival });
     }
 
     /// Submits a batch, preserving the iterator's arrival order.
@@ -297,12 +210,8 @@ impl BedrockMempool {
     /// receives — the paper's per-aggregator "Mempool" of size N.
     ///
     /// O(n log P): pops `n` heap entries, never touching the rest of the
-    /// pool (parked transactions cost nothing here). In legacy mode this is
-    /// the historical whole-pool filter-sort-compact, O(P log P) per call.
+    /// pool (parked transactions cost nothing here).
     pub fn collect(&mut self, n: usize) -> Vec<NftTransaction> {
-        if self.legacy.is_some() {
-            return self.legacy_collect(|_, order| order.truncate(n));
-        }
         self.ensure_fresh();
         let mut out = Vec::with_capacity(n.min(self.ready.len()));
         while out.len() < n {
@@ -312,9 +221,6 @@ impl BedrockMempool {
             self.ops.heap_pops += 1;
             self.total -= 1;
             out.push(ranked.pending.tx);
-            if self.sender_chains {
-                self.release_next(ranked.pending.tx.sender);
-            }
         }
         parole_telemetry::counter("mempool.heap_pops", out.len() as u64);
         out
@@ -325,32 +231,14 @@ impl BedrockMempool {
     /// This is the sequencer's block-filling primitive: one index pass per
     /// block instead of a `collect(1)` loop.
     ///
-    /// Indexed mode peeks before popping, so the first transaction that
-    /// does not fit is never removed — O(block · log P) with zero
-    /// re-insertion churn. Legacy mode performs the historical whole-pool
-    /// sort and takes the fitting prefix; both modes select the identical
-    /// prefix of the identical (tip desc, arrival asc) order.
+    /// It peeks before popping, so the first transaction that does not fit
+    /// is never removed — O(block · log P) with zero re-insertion churn.
     pub fn collect_block(
         &mut self,
         schedule: &parole_ovm::GasSchedule,
         gas_limit: parole_primitives::Gas,
     ) -> Vec<NftTransaction> {
         use parole_primitives::Gas;
-        if self.legacy.is_some() {
-            return self.legacy_collect(|flat, order| {
-                let mut gas = Gas::ZERO;
-                let mut keep = 0;
-                for &i in order.iter() {
-                    let tx_gas = schedule.gas_for(&flat[i].tx.kind);
-                    if (gas + tx_gas).units() > gas_limit.units() {
-                        break;
-                    }
-                    gas += tx_gas;
-                    keep += 1;
-                }
-                order.truncate(keep);
-            });
-        }
         self.ensure_fresh();
         let mut out = Vec::new();
         let mut gas = Gas::ZERO;
@@ -367,9 +255,6 @@ impl BedrockMempool {
             self.ops.heap_pops += 1;
             self.total -= 1;
             out.push(ranked.pending.tx);
-            if self.sender_chains {
-                self.release_next(ranked.pending.tx.sender);
-            }
         }
         parole_telemetry::counter("mempool.heap_pops", out.len() as u64);
         out
@@ -389,8 +274,6 @@ impl BedrockMempool {
             .iter()
             .map(|r| &r.pending)
             .chain(self.parked.iter())
-            .chain(self.chained.values().flatten())
-            .chain(self.legacy.iter().flatten())
             .filter(|p| p.tx.fees.is_includable(base_fee))
             .map(|p| (p.tx.fees.effective_tip(base_fee), p.arrival, p.tx))
             .collect();
@@ -407,45 +290,6 @@ impl BedrockMempool {
         }
         items.sort_unstable_by(best_first);
         items.into_iter().map(|(_, _, tx)| tx).collect()
-    }
-
-    /// The historical whole-pool collect: filter includable entries, sort
-    /// them by (tip desc, arrival asc), let `take` choose the prefix to
-    /// hand out, and compact the vector. O(P log P) per call — this is the
-    /// measured baseline the indexed pool replaces.
-    fn legacy_collect(
-        &mut self,
-        take: impl FnOnce(&[Pending], &mut Vec<usize>),
-    ) -> Vec<NftTransaction> {
-        let base_fee = self.base_fee;
-        let flat = self.legacy.as_mut().expect("legacy mode");
-        self.ops.full_sorts += 1;
-        self.ops.sort_scanned += flat.len() as u64;
-        let mut order: Vec<usize> = (0..flat.len())
-            .filter(|&i| flat[i].tx.fees.is_includable(base_fee))
-            .collect();
-        order.sort_by(|&a, &b| {
-            let ta = flat[a].tx.fees.effective_tip(base_fee);
-            let tb = flat[b].tx.fees.effective_tip(base_fee);
-            tb.cmp(&ta).then(flat[a].arrival.cmp(&flat[b].arrival))
-        });
-        take(flat, &mut order);
-
-        let mut taken = vec![false; flat.len()];
-        for &i in &order {
-            taken[i] = true;
-        }
-        let collected: Vec<NftTransaction> = order.iter().map(|&i| flat[i].tx).collect();
-        let mut keep = Vec::with_capacity(flat.len() - collected.len());
-        for (i, p) in std::mem::take(flat).into_iter().enumerate() {
-            if !taken[i] {
-                keep.push(p);
-            }
-        }
-        *self.legacy.as_mut().expect("legacy mode") = keep;
-        self.total -= collected.len();
-        parole_telemetry::counter("mempool.full_sorts", 1);
-        collected
     }
 
     /// Re-keys the index after a base-fee change: every heap and parked
@@ -475,22 +319,22 @@ impl BedrockMempool {
         self.keyed_base_fee = self.base_fee;
         self.sat_threshold = None;
         self.unpark_threshold = None;
-        let heads: Vec<Pending> = self
+        let entries: Vec<Pending> = self
             .ready
             .drain()
             .map(|r| r.pending)
             .chain(self.parked.drain(..))
             .collect();
         self.ops.rebuilds += 1;
-        self.ops.rescreened += heads.len() as u64;
+        self.ops.rescreened += entries.len() as u64;
         parole_telemetry::counter("mempool.rebuilds", 1);
-        parole_telemetry::counter("mempool.rescreened", heads.len() as u64);
-        for pending in heads {
+        parole_telemetry::counter("mempool.rescreened", entries.len() as u64);
+        for pending in entries {
             self.place(pending);
         }
     }
 
-    /// Routes one chain head into the ready heap or the parked list.
+    /// Routes one pending entry into the ready heap or the parked list.
     /// Callers must have re-keyed the index first (`ensure_fresh`).
     fn place(&mut self, pending: Pending) {
         debug_assert_eq!(self.base_fee, self.keyed_base_fee);
@@ -513,23 +357,6 @@ impl BedrockMempool {
             self.ops.parked += 1;
             parole_telemetry::counter("mempool.parked", 1);
             self.parked.push(pending);
-        }
-    }
-
-    /// After collecting `sender`'s head, promotes their next chained
-    /// transaction (if any) into the index.
-    fn release_next(&mut self, sender: Address) {
-        self.live_heads.remove(&sender);
-        let Some(queue) = self.chained.get_mut(&sender) else {
-            return;
-        };
-        let next = queue.pop_front();
-        if queue.is_empty() {
-            self.chained.remove(&sender);
-        }
-        if let Some(pending) = next {
-            self.live_heads.insert(sender);
-            self.place(pending);
         }
     }
 }
@@ -705,66 +532,90 @@ mod tests {
         assert_eq!(pool.op_stats().rebuilds, 1);
     }
 
+    /// The reference semantics the index must reproduce, computed the way
+    /// the legacy full-sort pool did: on every collect, sort all includable
+    /// pending transactions by (effective tip desc, arrival asc) at the
+    /// current base fee and hand out a prefix of that order.
+    #[derive(Default)]
+    struct ReferencePool {
+        pending: Vec<(u64, NftTransaction)>,
+        next_arrival: u64,
+    }
+
+    impl ReferencePool {
+        fn submit(&mut self, t: NftTransaction) {
+            self.pending.push((self.next_arrival, t));
+            self.next_arrival += 1;
+        }
+
+        /// Removes and returns the longest prefix of the reference order
+        /// whose every element `fits` accepts.
+        fn collect_while(
+            &mut self,
+            base: Wei,
+            mut fits: impl FnMut(&NftTransaction) -> bool,
+        ) -> Vec<NftTransaction> {
+            let mut order: Vec<(u64, NftTransaction)> = self
+                .pending
+                .iter()
+                .copied()
+                .filter(|(_, t)| t.fees.is_includable(base))
+                .collect();
+            order.sort_by(|(a_arr, a), (b_arr, b)| {
+                b.fees
+                    .effective_tip(base)
+                    .cmp(&a.fees.effective_tip(base))
+                    .then(a_arr.cmp(b_arr))
+            });
+            let keep = order.iter().take_while(|(_, t)| fits(t)).count();
+            order.truncate(keep);
+            self.pending
+                .retain(|(arr, _)| !order.iter().any(|(taken, _)| taken == arr));
+            order.into_iter().map(|(_, t)| t).collect()
+        }
+
+        fn collect(&mut self, base: Wei, n: usize) -> Vec<NftTransaction> {
+            let mut left = n;
+            self.collect_while(base, |_| {
+                let fits = left > 0;
+                left = left.saturating_sub(1);
+                fits
+            })
+        }
+    }
+
     /// Equivalence with the reference semantics: the indexed pool drains in
-    /// exactly (tip desc, arrival asc) order across interleaved submissions
-    /// and fee changes.
+    /// exactly (tip desc, arrival asc) order across a fee change.
     #[test]
     fn drains_in_reference_order_across_fee_changes() {
         let mut pool = BedrockMempool::new(Wei::from_gwei(1));
-        let mut reference: Vec<(u64, u64)> = Vec::new(); // (tip, arrival)
-        for (arrival, (sender, tip)) in [(1u64, 9u64), (2, 3), (3, 9), (4, 1), (5, 7), (6, 3)]
-            .into_iter()
-            .enumerate()
-        {
+        let mut reference = ReferencePool::default();
+        for (sender, tip) in [(1u64, 9u64), (2, 3), (3, 9), (4, 1), (5, 7), (6, 3)] {
             pool.submit(tx(sender, tip));
-            reference.push((tip, arrival as u64));
+            reference.submit(tx(sender, tip));
         }
         // Mid-stream fee drift (still below every cap) re-keys the heap but
         // must not change the relative order for uniform fee bundles.
         pool.set_base_fee(Wei::from_gwei(2));
-        reference.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let drained = pool.collect(6);
-        let got: Vec<u128> = drained
-            .iter()
-            .map(|t| t.fees.effective_tip(Wei::from_gwei(2)).gwei())
-            .collect();
-        let want: Vec<u128> = reference.iter().map(|&(tip, _)| tip as u128).collect();
-        assert_eq!(got, want, "effective tips in descending reference order");
-    }
-
-    /// Chains mode: per-sender FIFO regardless of tips, cross-sender still
-    /// tip-ordered.
-    #[test]
-    fn sender_chains_enforce_per_sender_fifo() {
-        let mut pool = BedrockMempool::new(Wei::from_gwei(1)).with_sender_chains(true);
-        assert!(pool.sender_chains());
-        // Sender 1 submits a low-tip tx first, then a high-tip one.
-        pool.submit(tx(1, 2));
-        pool.submit(tx(1, 9));
-        pool.submit(tx(2, 5));
-        assert_eq!(pool.len(), 3);
-        let order: Vec<(u64, u128)> = pool
-            .collect(3)
-            .iter()
-            .map(|t| (sender_of(t), t.fees.effective_tip(Wei::from_gwei(1)).gwei()))
-            .collect();
-        // Sender 1's tip-9 tx cannot jump its own tip-2 predecessor; sender
-        // 2's tip-5 tx outranks the tip-2 head. Once the head clears, the
-        // tip-9 successor enters the heap and is collected next.
-        assert_eq!(order, vec![(2, 5), (1, 2), (1, 9)]);
+        assert_eq!(
+            pool.collect(6),
+            reference.collect(Wei::from_gwei(2), 6),
+            "descending reference order"
+        );
         assert!(pool.is_empty());
     }
 
-    /// The legacy flat-`Vec` baseline and the indexed pool must be
-    /// drop-in interchangeable: identical drain order across interleaved
-    /// submissions, partial collects and fee changes.
+    /// The indexed pool is a drop-in for the legacy full sort
+    /// (`ReferencePool`): identical drain order across rounds of 25
+    /// pseudo-random submissions, a base-fee change every third round and a
+    /// partial `collect(7)` per round.
     #[test]
     fn legacy_and_indexed_pools_drain_identically() {
         let mut indexed = BedrockMempool::new(Wei::from_gwei(1));
-        let mut legacy = BedrockMempool::legacy_full_sort(Wei::from_gwei(1));
-        assert!(legacy.is_legacy() && !indexed.is_legacy());
+        let mut legacy = ReferencePool::default();
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         let mut submitted = 0u64;
+        let mut base = Wei::from_gwei(1);
         for round in 0..12 {
             for _ in 0..25 {
                 x = x
@@ -776,18 +627,18 @@ mod tests {
                 submitted += 1;
             }
             if round % 3 == 2 {
-                let fee = Wei::from_gwei(1 + (round as u64 % 4));
-                indexed.set_base_fee(fee);
-                legacy.set_base_fee(fee);
+                base = Wei::from_gwei(1 + (round as u64 % 4));
+                indexed.set_base_fee(base);
             }
-            let a = indexed.collect(7);
-            let b = legacy.collect(7);
-            assert_eq!(a, b, "round {round}: drain order diverged");
-            assert_eq!(indexed.len(), legacy.len());
+            assert_eq!(
+                indexed.collect(7),
+                legacy.collect(base, 7),
+                "round {round}: drain order diverged"
+            );
+            assert_eq!(indexed.len(), legacy.pending.len());
         }
-        assert_eq!(indexed.collect(10_000), legacy.collect(10_000));
-        assert!(legacy.op_stats().full_sorts >= 12, "legacy really sorted");
-        assert_eq!(indexed.op_stats().full_sorts, 0);
+        assert_eq!(indexed.collect(10_000), legacy.collect(base, 10_000));
+        assert!(indexed.is_empty());
     }
 
     /// `collect_block` fills to the gas limit and leaves the first
@@ -796,12 +647,15 @@ mod tests {
     fn collect_block_stops_at_gas_limit_without_churn() {
         use parole_ovm::GasSchedule;
         let schedule = GasSchedule::flat(100);
+        let limit = parole_primitives::Gas::new(350);
         let mut pool = BedrockMempool::new(Wei::from_gwei(1));
+        let mut reference = ReferencePool::default();
         for i in 0..10 {
-            pool.submit(tx(i, 5));
+            pool.submit(tx(i, i % 4));
+            reference.submit(tx(i, i % 4));
         }
         let pushes_before = pool.op_stats().heap_pushes;
-        let block = pool.collect_block(&schedule, parole_primitives::Gas::new(350));
+        let block = pool.collect_block(&schedule, limit);
         assert_eq!(block.len(), 3, "three 100-gas txs fit under 350");
         assert_eq!(pool.len(), 7);
         assert_eq!(
@@ -809,15 +663,13 @@ mod tests {
             pushes_before,
             "the non-fitting head is peeked, never popped and re-pushed"
         );
-        // Legacy mode selects the identical prefix.
-        let mut legacy = BedrockMempool::legacy_full_sort(Wei::from_gwei(1));
-        for i in 0..10 {
-            legacy.submit(tx(i, 5));
-        }
-        assert_eq!(
-            legacy.collect_block(&schedule, parole_primitives::Gas::new(350)),
-            block
-        );
+        // The block is the gas-fitting prefix of the reference order.
+        let mut gas = 0;
+        let want = reference.collect_while(Wei::from_gwei(1), |t| {
+            gas += schedule.gas_for(&t.kind).units();
+            gas <= limit.units()
+        });
+        assert_eq!(block, want);
     }
 
     /// Base-fee drift that cannot change any effective tip (every cap has

@@ -9,7 +9,6 @@
 //! can be evaluated in its intended position.
 
 use crate::{BaseFeeController, BedrockMempool};
-use parole_crypto::Hash32;
 use parole_ovm::{
     Bloom, GasSchedule, LogFilter, LogHit, LogIndex, NftTransaction, Ovm, ParallelExecutor, Receipt,
 };
@@ -55,15 +54,6 @@ pub struct SealedBlock {
     pub gas_used: Gas,
     /// Base fee the block was built under.
     pub base_fee: parole_primitives::Wei,
-    /// Per-transaction intermediate state roots — `roots[i]` is the state
-    /// root after the first `i` transactions, so a block of `n`
-    /// transactions carries `n + 1` roots. Recorded by
-    /// [`Sequencer::seal_and_execute`] when step-root recording is on
-    /// ([`Sequencer::with_step_roots`]); this is the defender-side
-    /// evidence the interactive fraud-proof bisection game queries.
-    /// `None` when recording is off or the block was sealed without
-    /// execution ([`Sequencer::seal_block`]).
-    pub step_roots: Option<Vec<Hash32>>,
     /// OR-fold of the executed receipts' blooms — the block-level bloom a
     /// log query probes before scanning receipts. The zero bloom for
     /// blocks sealed without execution ([`Sequencer::seal_block`]) and for
@@ -80,7 +70,6 @@ pub struct Sequencer {
     blocks_sealed: u64,
     ovm: Ovm,
     exec_mode: ExecMode,
-    record_step_roots: bool,
     /// Chain-level log index over executed blocks; `None` when indexing is
     /// off ([`Sequencer::with_log_index`]).
     log_index: Option<LogIndex>,
@@ -111,7 +100,6 @@ impl Sequencer {
             blocks_sealed: 0,
             ovm: Ovm::new(),
             exec_mode: ExecMode::default(),
-            record_step_roots: false,
             log_index: None,
         }
     }
@@ -130,27 +118,6 @@ impl Sequencer {
     pub fn with_ovm(mut self, ovm: Ovm) -> Self {
         self.ovm = ovm;
         self
-    }
-
-    /// Switches per-transaction state-root recording on or off
-    /// (builder-style, off by default). With it on,
-    /// [`Sequencer::seal_and_execute`] fills [`SealedBlock::step_roots`]
-    /// with the root after every transaction — the intermediate
-    /// commitments the interactive fraud-proof game bisects over. Each
-    /// root read is an incremental O(dirty · log n) flush of the
-    /// commitment cache, not a rebuild; under
-    /// [`ExecMode::Parallel`] the roots come from a serial replay of the
-    /// sealed order (per-transaction intermediate states do not exist on
-    /// the parallel path), doubling execution cost for that block.
-    #[must_use]
-    pub fn with_step_roots(mut self, on: bool) -> Self {
-        self.record_step_roots = on;
-        self
-    }
-
-    /// Whether per-transaction state roots are recorded at seal time.
-    pub fn records_step_roots(&self) -> bool {
-        self.record_step_roots
     }
 
     /// Switches the chain-level log index on or off (builder-style, off by
@@ -282,7 +249,6 @@ impl Sequencer {
             txs,
             gas_used,
             base_fee,
-            step_roots: None,
             bloom: Bloom::ZERO,
         }
     }
@@ -308,29 +274,10 @@ impl Sequencer {
         #[cfg(feature = "audit")]
         let pre_maps = parole_audit::replay::snapshot_maps(state);
         let receipts = match self.exec_mode {
-            ExecMode::Serial if self.record_step_roots => {
-                let mut roots = Vec::with_capacity(block.txs.len() + 1);
-                roots.push(state.state_root());
-                let receipts = block
-                    .txs
-                    .iter()
-                    .map(|tx| {
-                        let r = self.ovm.execute(state, tx);
-                        roots.push(state.state_root());
-                        r
-                    })
-                    .collect();
-                parole_telemetry::counter("fraud.step_roots_recorded", roots.len() as u64);
-                block.step_roots = Some(roots);
-                receipts
-            }
             ExecMode::Serial => self.ovm.execute_sequence(state, &block.txs),
             ExecMode::Parallel { threads } => {
                 #[cfg(any(debug_assertions, feature = "audit"))]
                 let pre = state.clone();
-                // Per-transaction intermediate states do not exist on the
-                // parallel path; record the trace from a serial replay.
-                let step_root_pre = self.record_step_roots.then(|| state.clone());
 
                 let executor = ParallelExecutor::with_threads(self.ovm.clone(), threads);
                 let (receipts, _stats) = executor.execute_block(state, &block.txs);
@@ -357,23 +304,6 @@ impl Sequencer {
                     .check_block(&pre, &block.txs)
                 {
                     panic!("sequencer parallel-execution audit failed: {violation}");
-                }
-
-                if let Some(replay_pre) = step_root_pre {
-                    let mut replay = replay_pre;
-                    let mut roots = Vec::with_capacity(block.txs.len() + 1);
-                    roots.push(replay.state_root());
-                    for tx in &block.txs {
-                        let _ = self.ovm.execute(&mut replay, tx);
-                        roots.push(replay.state_root());
-                    }
-                    debug_assert_eq!(
-                        roots.last().copied(),
-                        Some(state.state_root()),
-                        "serial step-root replay must land on the parallel post-state"
-                    );
-                    parole_telemetry::counter("fraud.step_roots_recorded", roots.len() as u64);
-                    block.step_roots = Some(roots);
                 }
 
                 receipts
@@ -527,39 +457,6 @@ mod tests {
         }
         assert_eq!(serial_state.state_root(), parallel_state.state_root());
         assert_eq!(serial_seq.base_fee(), parallel_seq.base_fee());
-    }
-
-    /// With step-root recording on, a sealed block carries one root per
-    /// transaction plus the pre-root, the endpoints match the observable
-    /// pre/post states, and the trace is identical across execution modes.
-    #[test]
-    fn step_roots_recorded_behind_the_knob() {
-        let txs: Vec<NftTransaction> = (1..=4).map(|i| tx(i, i)).collect();
-        let base = funded_world();
-
-        // Off by default: no roots.
-        let mut plain_state = base.clone();
-        let mut plain = sequencer_with(txs.clone(), 1_000_000);
-        let (block, _) = plain.seal_and_execute(&mut plain_state, None);
-        assert_eq!(block.step_roots, None);
-
-        let mut serial_state = base.clone();
-        let mut serial = sequencer_with(txs.clone(), 1_000_000).with_step_roots(true);
-        assert!(serial.records_step_roots());
-        let pre_root = serial_state.state_root();
-        let (sblock, _) = serial.seal_and_execute(&mut serial_state, None);
-        let sroots = sblock.step_roots.as_ref().expect("recording is on");
-        assert_eq!(sroots.len(), sblock.txs.len() + 1);
-        assert_eq!(sroots[0], pre_root);
-        assert_eq!(*sroots.last().unwrap(), serial_state.state_root());
-
-        // The parallel path replays serially for the trace — same roots.
-        let mut par_state = base.clone();
-        let mut par = sequencer_with(txs, 1_000_000)
-            .with_step_roots(true)
-            .with_exec_mode(ExecMode::Parallel { threads: 4 });
-        let (pblock, _) = par.seal_and_execute(&mut par_state, None);
-        assert_eq!(pblock.step_roots.as_ref(), Some(sroots));
     }
 
     /// With log indexing on, sealed blocks carry a bloom folded from their

@@ -2,7 +2,7 @@
 
 use crate::token_table::TokenTable;
 use crate::{Erc721Event, NftError, OpEvents};
-use parole_primitives::{storage_backend, Address, StorageBackend, TokenId, Wei};
+use parole_primitives::{Address, TokenId, Wei};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -187,12 +187,10 @@ impl OperatorUndo {
 ///   `==` and serialization therefore see live state only, and an operation
 ///   sequence with no net effect leaves the collection equal to its
 ///   pre-state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Collection {
     config: CollectionConfig,
-    /// Active-token records: owner + approved operator per token, on either
-    /// the flat-arena or the baseline `BTreeMap` backend. Equality,
-    /// iteration order and serialization are backend-independent.
+    /// Active-token records: owner + approved operator per token.
     tokens: TokenTable,
     /// Blanket operator approvals (ERC-721 `isApprovedForAll`), as sorted
     /// `(owner, operator)` pairs. Committed state: the collection-header
@@ -221,23 +219,10 @@ impl Collection {
     /// Panics if `max_supply` is zero — a collection that can never mint is
     /// a deployment bug.
     pub fn new(config: CollectionConfig) -> Self {
-        Self::with_backend(config, storage_backend())
-    }
-
-    /// Deploys a new collection on an explicit storage backend — used by
-    /// benchmarks and differential tests that A/B both layouts in one
-    /// process. [`Collection::new`] uses the process-wide default
-    /// ([`parole_primitives::storage_backend`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_supply` is zero — a collection that can never mint is
-    /// a deployment bug.
-    pub fn with_backend(config: CollectionConfig, backend: StorageBackend) -> Self {
         assert!(config.max_supply > 0, "max_supply must be positive");
         Collection {
             config,
-            tokens: TokenTable::new(backend),
+            tokens: TokenTable::new(),
             operators: BTreeSet::new(),
             listings: BTreeMap::new(),
             royalties: BTreeMap::new(),
@@ -245,11 +230,6 @@ impl Collection {
             total_transfers: 0,
             total_burns: 0,
         }
-    }
-
-    /// Which storage backend this collection's token table uses.
-    pub fn backend(&self) -> StorageBackend {
-        self.tokens.backend()
     }
 
     /// The deployment configuration.
@@ -849,36 +829,9 @@ impl Collection {
     }
 }
 
-impl PartialEq for Collection {
-    /// Content equality, independent of the token-table backend: two
-    /// collections are equal iff they have the same config, the same active
-    /// `(token, owner)` and `(token, operator)` sets, the same operator,
-    /// listing and royalty maps and the same lifetime counters. This is what the undo-path tests (and the
-    /// state journal's revert assertions) rely on.
-    fn eq(&self, other: &Self) -> bool {
-        self.config == other.config
-            && self.total_mints == other.total_mints
-            && self.total_transfers == other.total_transfers
-            && self.total_burns == other.total_burns
-            && self.tokens.active_count() == other.tokens.active_count()
-            && self.tokens.approval_count() == other.tokens.approval_count()
-            && self.operators == other.operators
-            && self.listings == other.listings
-            && self.royalties == other.royalties
-            && self.tokens.iter().eq(other.tokens.iter())
-            && self
-                .tokens
-                .approvals_iter()
-                .eq(other.tokens.approvals_iter())
-    }
-}
-
-impl Eq for Collection {}
-
 impl Serialize for Collection {
     /// Serializes live state only, as a struct map with `owners` /
-    /// `approvals` entries in token-id order, so artifacts round-trip
-    /// across backends.
+    /// `approvals` entries in token-id order.
     fn to_value(&self) -> Value {
         let owners: Vec<(Value, Value)> = self
             .tokens
@@ -944,10 +897,8 @@ fn struct_field<'v>(value: &'v Value, name: &str) -> Result<&'v Value, DeError> 
 }
 
 impl Deserialize for Collection {
-    /// Rebuilds on the process-default backend; content equality is
-    /// backend-independent, so round-trips compare equal regardless of the
-    /// layout the serializer used. An `events` field left by artifacts
-    /// from before collections stopped keeping event history is ignored.
+    /// Rebuilds the live state. An `events` field left by artifacts from
+    /// before collections stopped keeping event history is ignored.
     fn from_value(value: &Value) -> Result<Self, DeError> {
         let config = CollectionConfig::from_value(struct_field(value, "config")?)?;
         let owners = BTreeMap::<TokenId, Address>::from_value(struct_field(value, "owners")?)?;
@@ -996,7 +947,7 @@ impl Deserialize for Collection {
         let total_mints = u64::from_value(struct_field(value, "total_mints")?)?;
         let total_transfers = u64::from_value(struct_field(value, "total_transfers")?)?;
         let total_burns = u64::from_value(struct_field(value, "total_burns")?)?;
-        let mut tokens = TokenTable::new(storage_backend());
+        let mut tokens = TokenTable::new();
         for (t, o) in owners {
             tokens.set_owner(t, o);
         }

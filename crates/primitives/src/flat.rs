@@ -38,44 +38,15 @@
 
 use crate::{Address, PagedVec, TokenId, PAGE_LEN};
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
-/// Which backing store the state layer should use for its hot maps.
-///
-/// The arena layout is the production default; the `BTree` backend is kept
-/// as the in-process baseline so benchmarks (and the differential oracle)
-/// can A/B both layouts in a single run.
+/// The storage layout of the state layer's hot maps: always the flat
+/// arena. A one-variant enum, kept only for callers that still name the
+/// layout explicitly (`L2State::with_backend`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageBackend {
     /// Dense slab + open-addressing index ([`FlatMap`]).
     Arena,
-    /// The original `std::collections::BTreeMap` layout.
-    BTree,
-}
-
-impl StorageBackend {
-    /// Short lowercase name, as accepted by `PAROLE_STATE_BACKEND`.
-    pub const fn name(self) -> &'static str {
-        match self {
-            StorageBackend::Arena => "arena",
-            StorageBackend::BTree => "btree",
-        }
-    }
-}
-
-/// The process-wide default backend for newly created states.
-///
-/// Reads `PAROLE_STATE_BACKEND` (`arena` | `btree`, case-insensitive) once;
-/// unset or unrecognized values fall back to [`StorageBackend::Arena`].
-/// Code that needs both layouts in one process (the bench harness, the
-/// differential tests) should use the explicit `with_backend` constructors
-/// instead of mutating the environment.
-pub fn storage_backend() -> StorageBackend {
-    static BACKEND: OnceLock<StorageBackend> = OnceLock::new();
-    *BACKEND.get_or_init(|| match std::env::var("PAROLE_STATE_BACKEND") {
-        Ok(v) if v.eq_ignore_ascii_case("btree") => StorageBackend::BTree,
-        _ => StorageBackend::Arena,
-    })
 }
 
 /// Keys usable in a [`FlatMap`]: cheaply copyable, totally ordered, and
@@ -448,8 +419,8 @@ impl<K: FlatKey, V: Clone + Eq> Eq for FlatMap<K, V> {}
 
 impl<K: FlatKey + Serialize, V: Clone + Serialize> Serialize for FlatMap<K, V> {
     /// Key-sorted `[k, v]` entries — the same shape the vendored serde
-    /// renders a `BTreeMap` as, so swapping backends does not change any
-    /// serialized artifact.
+    /// renders a `BTreeMap` as, so the wire format is independent of the
+    /// map's layout.
     fn to_value(&self) -> Value {
         Value::Map(
             self.iter_sorted()
@@ -623,11 +594,5 @@ mod tests {
         let f: Vec<_> = flat.iter_sorted().map(|(k, v)| (*k, *v)).collect();
         let t: Vec<_> = tree.iter().map(|(k, v)| (*k, *v)).collect();
         assert_eq!(f, t);
-    }
-
-    #[test]
-    fn backend_names_roundtrip() {
-        assert_eq!(StorageBackend::Arena.name(), "arena");
-        assert_eq!(StorageBackend::BTree.name(), "btree");
     }
 }

@@ -39,7 +39,7 @@ mod wei;
 
 pub use address::Address;
 pub use fees::{FeeBundle, FeeMarketTier};
-pub use flat::{storage_backend, FlatKey, FlatMap, SortedIter, StorageBackend};
+pub use flat::{FlatKey, FlatMap, SortedIter, StorageBackend};
 pub use gas::Gas;
 pub use hash::Hash32;
 pub use ids::{AggregatorId, BlockNumber, TokenId, TxNonce, VerifierId};

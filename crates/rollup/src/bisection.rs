@@ -56,9 +56,8 @@ impl ExecutionTrace {
         ExecutionTrace { roots }
     }
 
-    /// Wraps an externally recorded root vector (e.g. the sequencer's
-    /// step roots). `roots` must hold the pre-root plus one root per
-    /// transaction.
+    /// Wraps an externally recorded root vector. `roots` must hold the
+    /// pre-root plus one root per transaction.
     pub fn from_roots(roots: Vec<Hash32>) -> Self {
         assert!(!roots.is_empty(), "a trace holds at least the pre-root");
         ExecutionTrace { roots }

@@ -380,7 +380,7 @@ impl CommitCache {
         let mut coll_keys = Vec::with_capacity(collections.len());
         let coll_leaves: Vec<Hash32> = collections
             .iter_sorted()
-            .map(|(addr, coll)| {
+            .map(|(&addr, coll)| {
                 let sub = CollSub::build(coll);
                 let leaf = keccak256(&coll_preimage(addr, coll, sub.root()));
                 coll_keys.push(addr);
@@ -390,13 +390,13 @@ impl CommitCache {
             .collect();
         let acct_leaves = accounts
             .iter_sorted()
-            .map(|(addr, acct)| keccak256(&acct_preimage(addr, acct)));
+            .map(|(&addr, acct)| keccak256(&acct_preimage(addr, acct)));
         let leaves = std::iter::once(keccak256(&meta_preimage(block)))
             .chain(acct_leaves)
             .chain(coll_leaves);
         CommitCache {
             tree: CommitTree::from_leaves(leaves),
-            acct_keys: accounts.iter_sorted().map(|(k, _)| k).collect(),
+            acct_keys: accounts.iter_sorted().map(|(&k, _)| k).collect(),
             coll_keys,
             coll_subs,
         }

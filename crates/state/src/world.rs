@@ -6,9 +6,7 @@ use crate::tables::{AccountTable, CollTable};
 use crate::{AccountState, Checkpoint};
 use parole_crypto::{keccak256, Hash32, MerkleTree};
 use parole_nft::{Collection, CollectionConfig, Listing, NftError, OpEvents};
-use parole_primitives::{
-    storage_backend, Address, BlockNumber, PrimitiveError, StorageBackend, TokenId, Wei,
-};
+use parole_primitives::{Address, BlockNumber, PrimitiveError, StorageBackend, TokenId, Wei};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -80,8 +78,7 @@ enum NftTouch {
 /// cheap one. The account and collection tables and the commitment cache
 /// are stored in copy-on-write pages ([`parole_primitives::PagedVec`]), so a
 /// clone copies page pointers, and each side's first write to a page copies
-/// that page alone (on the default arena backend; the `BTree` baseline
-/// clones deeply). For in-place LIFO speculation there is a second
+/// that page alone. For in-place LIFO speculation there is a second
 /// mechanism: switch on [`L2State::begin_recording`] and use
 /// [`L2State::checkpoint`] / [`L2State::revert_to`] to roll mutations back
 /// without forking at all. See the crate docs for how the attack machinery
@@ -146,20 +143,11 @@ impl PartialEq for L2State {
 }
 
 impl L2State {
-    /// An empty world state at block 0, on the process-default storage
-    /// backend ([`parole_primitives::storage_backend`]).
+    /// An empty world state at block 0.
     pub fn new() -> Self {
-        Self::with_backend(storage_backend())
-    }
-
-    /// An empty world state at block 0 on an explicit storage backend —
-    /// used by benchmarks and differential tests that A/B the flat-arena
-    /// and `BTreeMap` layouts in a single process. Collections deployed
-    /// through this state inherit its backend.
-    pub fn with_backend(backend: StorageBackend) -> Self {
         L2State {
-            accounts: AccountTable::new(backend),
-            collections: CollTable::new(backend),
+            accounts: AccountTable::new(),
+            collections: CollTable::new(),
             block: BlockNumber::default(),
             journal: Journal::default(),
             commit: Mutex::new(CommitSlot::default()),
@@ -168,9 +156,10 @@ impl L2State {
         }
     }
 
-    /// Which storage backend this state's hot tables use.
-    pub fn backend(&self) -> StorageBackend {
-        self.accounts.backend()
+    /// An empty world state on the given layout; the same as
+    /// [`L2State::new`], since the flat arena is the only layout.
+    pub fn with_backend(_backend: StorageBackend) -> Self {
+        Self::new()
     }
 
     /// Locks the commitment slot (the mutex is never contended on the
@@ -394,7 +383,7 @@ impl L2State {
     #[inline]
     fn write_account(&mut self, who: Address, write: impl FnOnce(&mut AccountState)) {
         Self::slot_mut(&mut self.commit).mark_acct(who);
-        let (acct, created) = self.accounts.or_default_mut(who);
+        let (acct, created) = self.accounts.get_or_insert_with(who, AccountState::default);
         if self.journal.recording {
             let prev = (!created).then_some(*acct);
             self.journal
@@ -527,10 +516,7 @@ impl L2State {
                 .entries
                 .push(JournalEntry::CollectionDeployed { addr });
         }
-        self.collections.insert(
-            addr,
-            Collection::with_backend(config, self.collections.backend()),
-        );
+        self.collections.insert(addr, Collection::new(config));
         Ok(())
     }
 
@@ -993,7 +979,7 @@ impl L2State {
 
     /// Iterates over `(address, collection)` pairs in address order.
     pub fn collections(&self) -> impl Iterator<Item = (Address, &Collection)> {
-        self.collections.iter_sorted()
+        self.collections.iter_sorted().map(|(&addr, c)| (addr, c))
     }
 
     /// The paper's "total balance" of a user: spendable L2 balance plus the

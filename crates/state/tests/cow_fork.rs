@@ -3,14 +3,14 @@
 //! observably untouched. A regression to deep-copying forks fails here,
 //! not only in the benchmark.
 
-use parole_primitives::{Address, StorageBackend, Wei};
+use parole_primitives::{Address, Wei};
 use parole_state::L2State;
 use serde::Serialize;
 
 const ACCOUNTS: u64 = 20_000;
 
 fn world() -> L2State {
-    let mut s = L2State::with_backend(StorageBackend::Arena);
+    let mut s = L2State::new();
     for i in 1..=ACCOUNTS {
         s.credit(Address::from_low_u64(i), Wei::from_gwei(i));
     }

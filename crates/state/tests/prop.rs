@@ -1,8 +1,8 @@
 //! Property-based tests for the L2 world state: state-root determinism,
-//! balance conservation and fork independence.
+//! balance conservation, fork independence and lossless serde round trips.
 
 use parole_nft::CollectionConfig;
-use parole_primitives::{Address, StorageBackend, TokenId, Wei};
+use parole_primitives::{Address, TokenId, Wei};
 use parole_state::L2State;
 use proptest::prelude::*;
 
@@ -120,6 +120,17 @@ fn apply(state: &mut L2State, coll: Address, op: &Op) {
     }
 }
 
+/// `state` survives a serde round trip: the decoded state is `==`, has the
+/// same root, and encodes to the same bytes.
+fn assert_serde_roundtrip(state: &L2State) -> Result<(), TestCaseError> {
+    let bytes = serde_json::to_string(state).expect("serialize");
+    let back: L2State = serde_json::from_str(&bytes).expect("deserialize");
+    prop_assert!(back == *state, "decoded state differs");
+    prop_assert_eq!(back.state_root(), state.state_root());
+    prop_assert_eq!(serde_json::to_string(&back).expect("re-serialize"), bytes);
+    Ok(())
+}
+
 fn fresh() -> (L2State, Address) {
     let mut s = L2State::new();
     let coll = s.deploy_collection(CollectionConfig::limited_edition("SP", 8, 100));
@@ -219,63 +230,37 @@ proptest! {
         prop_assert_eq!(s.state_root(), s.state_root_naive());
     }
 
-    /// Backend differential: a world driven through the handle-interned
-    /// arena slabs and one driven through `BTreeMap`s by the same operation
-    /// sequence are observationally identical — bit-identical state roots
-    /// at every step (including under checkpoint/rollback and forks) and
-    /// identical serde encodings. This is the contract that lets the
-    /// sustained-traffic harness swap backends with a knob.
+    /// Serde is lossless on every state a run can reach: after a committed
+    /// burst, inside and after a rolled-back speculation, and on a fork.
+    /// Each state deserializes to an `==` state with the same
+    /// `state_root()`, and re-serializes to the same bytes.
     #[test]
-    fn arena_and_btree_backends_are_bit_identical(
+    fn serde_roundtrip_preserves_state_root_and_bytes(
         committed in prop::collection::vec(arb_op(), 1..30),
         speculated in prop::collection::vec(arb_op(), 1..12),
         forked in prop::collection::vec(arb_op(), 1..12),
     ) {
-        let mut arena = L2State::with_backend(StorageBackend::Arena);
-        let mut btree = L2State::with_backend(StorageBackend::BTree);
-        let coll_a = arena.deploy_collection(CollectionConfig::limited_edition("SP", 8, 100));
-        let coll_b = btree.deploy_collection(CollectionConfig::limited_edition("SP", 8, 100));
-        prop_assert_eq!(coll_a, coll_b, "deployment addressing is backend-independent");
-
+        let (mut s, coll) = fresh();
         for op in &committed {
-            apply(&mut arena, coll_a, op);
-            apply(&mut btree, coll_b, op);
-            prop_assert_eq!(arena.state_root(), btree.state_root());
+            apply(&mut s, coll, op);
         }
-        prop_assert_eq!(arena.state_root(), arena.state_root_naive());
+        assert_serde_roundtrip(&s)?;
 
-        // A speculated burst rolled back on both sides: the undo log must
-        // behave identically over slab handles and tree nodes.
-        arena.begin_recording();
-        btree.begin_recording();
-        let cp_a = arena.checkpoint();
-        let cp_b = btree.checkpoint();
+        s.begin_recording();
+        let cp = s.checkpoint();
         for op in &speculated {
-            apply(&mut arena, coll_a, op);
-            apply(&mut btree, coll_b, op);
+            apply(&mut s, coll, op);
         }
-        prop_assert_eq!(arena.state_root(), btree.state_root());
-        arena.revert_to(cp_a);
-        btree.revert_to(cp_b);
-        prop_assert_eq!(arena.state_root(), btree.state_root());
-        prop_assert_eq!(arena.state_root(), arena.state_root_naive());
+        assert_serde_roundtrip(&s)?;
+        s.revert_to(cp);
+        assert_serde_roundtrip(&s)?;
 
-        // Forks diverge in lockstep; the parents stay in agreement.
-        let mut fork_a = arena.fork();
-        let mut fork_b = btree.fork();
+        let mut fork = s.fork();
         for op in &forked {
-            apply(&mut fork_a, coll_a, op);
-            apply(&mut fork_b, coll_b, op);
-            prop_assert_eq!(fork_a.state_root(), fork_b.state_root());
+            apply(&mut fork, coll, op);
         }
-        prop_assert_eq!(fork_a.state_root(), fork_a.state_root_naive());
-        prop_assert_eq!(arena.state_root(), btree.state_root());
-
-        // The wire encoding is content-addressed, not layout-addressed:
-        // both backends serialize to exactly the same bytes.
-        let enc_a = serde_json::to_string(&arena).expect("serialize arena");
-        let enc_b = serde_json::to_string(&btree).expect("serialize btree");
-        prop_assert_eq!(enc_a, enc_b);
+        assert_serde_roundtrip(&fork)?;
+        assert_serde_roundtrip(&s)?;
     }
 
     /// Forks are fully independent: mutating a clone never touches the

@@ -1,18 +1,16 @@
 //! Static metric registration: the canonical inventory of every metric the
 //! pipeline records.
 //!
-//! The ROADMAP follow-up this closes: discovering "which metrics exist"
-//! used to mean grepping call sites. Each recording site now has a row in
-//! [`METRICS`] — name, kind, and a one-line doc string — and
-//! `perf_report metrics --list` dumps the table. The inventory is plain
-//! `'static` data, so it is available in no-op builds too (the dump works
-//! without the `enabled` feature), and tests pin two properties:
+//! Each recording site has a row in [`METRICS`] — name, kind, and a
+//! one-line doc string. The inventory is plain `'static` data, so it is
+//! available in no-op builds too, and tests pin two properties:
 //!
 //! - the table is sorted by name and duplicate-free (so [`describe`] can
-//!   binary-search and the dump is deterministic);
+//!   binary-search);
 //! - every metric name a live pipeline run records resolves in the table
-//!   (asserted by `perf_report`'s `metrics` section and the state crate's
-//!   telemetry tests), so a new recording site cannot ship unregistered.
+//!   with the kind it was recorded as (asserted by the `parole` crate's
+//!   `pipeline_metrics` test and the state crate's telemetry tests), so a
+//!   new recording site cannot ship unregistered.
 
 /// What a metric's recorded values mean, mirroring the four recording
 /// primitives of the crate root.
@@ -47,7 +45,7 @@ pub struct MetricDescriptor {
     pub name: &'static str,
     /// Which primitive records it.
     pub kind: MetricKind,
-    /// One-line human description (shown by `perf_report metrics --list`).
+    /// One-line human description.
     pub doc: &'static str,
 }
 
@@ -60,7 +58,7 @@ use MetricKind::{Counter, FloatSeries, Histogram, Span};
 /// Every metric the pipeline records, sorted by name.
 ///
 /// Keep this table sorted and in sync with the recording sites; the unit
-/// tests below and the `perf_report` coverage assertion enforce both.
+/// tests below and the `pipeline_metrics` coverage test enforce both.
 pub const METRICS: &[MetricDescriptor] = &[
     m(
         "bloom.block_scans",
@@ -193,11 +191,6 @@ pub const METRICS: &[MetricDescriptor] = &[
         "fraud.record_proofs_verified",
         Counter,
         "Record-inclusion proofs checked against bare roots at settlement",
-    ),
-    m(
-        "fraud.step_roots_recorded",
-        Counter,
-        "Per-transaction intermediate roots recorded at block seal",
     ),
     m(
         "marketplace.listings_cancelled",

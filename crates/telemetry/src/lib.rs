@@ -21,8 +21,8 @@
 //!
 //! Every metric is **statically registered** in [`descriptors::METRICS`]
 //! (name, kind, one-line doc); [`describe`] resolves a recorded name to its
-//! descriptor, and `perf_report metrics --list` dumps the inventory. The
-//! table is plain `'static` data, available in no-op builds too.
+//! descriptor. The table is plain `'static` data, available in no-op
+//! builds too.
 //!
 //! ## Feature gating
 //!
