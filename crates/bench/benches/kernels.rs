@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use parole_bench::economy::Economy;
-use parole_crypto::{keccak256, MerkleTree};
+use parole_crypto::{keccak256, keccak256_batch, CommitTree, MerkleTree};
 use parole_drl::Mlp;
 use parole_mempool::BedrockMempool;
 use parole_ovm::Ovm;
@@ -16,6 +16,25 @@ fn bench_crypto(c: &mut Criterion) {
     let payload = vec![0xA5u8; 256];
     group.bench_function("keccak256_256B", |b| {
         b.iter(|| keccak256(black_box(&payload)))
+    });
+    // The commitment layer's bulk shapes: a page of account-leaf-sized
+    // preimages, and a 2^16-leaf tree build (both take the lane kernel
+    // where the CPU has AVX-512).
+    let account_leaves: Vec<[u8; 52]> = (0..1024u32)
+        .map(|i| {
+            let mut preimage = [0u8; 52];
+            preimage[..4].copy_from_slice(&i.to_be_bytes());
+            preimage
+        })
+        .collect();
+    group.bench_function("keccak256_batch_1024x52B", |b| {
+        b.iter(|| keccak256_batch(black_box(&account_leaves)))
+    });
+    let tree_leaves: Vec<_> = (0..65_536u64)
+        .map(|i| keccak256(&i.to_be_bytes()))
+        .collect();
+    group.bench_function("commit_tree_from_leaves_65536", |b| {
+        b.iter(|| CommitTree::from_leaves(black_box(tree_leaves.iter().copied())).root())
     });
     let leaves: Vec<_> = (0..256u64).map(|i| keccak256(&i.to_be_bytes())).collect();
     group.bench_function("merkle_256_leaves", |b| {

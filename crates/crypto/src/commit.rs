@@ -14,6 +14,11 @@
 //! - [`CommitTree::insert`] / [`CommitTree::remove`] splice the leaf level
 //!   and rehash only the suffix whose positions shifted.
 //!
+//! Every level pass hashes its parents through
+//! [`keccak256_batch`](crate::keccak256_batch), at most one page of parents
+//! per call, so bulk passes take the eight-lane kernel where the CPU has
+//! it and no pass holds more than a page of transient digests.
+//!
 //! The levels are [`PagedVec`]s, so a clone of a resident tree copies page
 //! pointers, and repairing a clone's dirty paths copies only the pages on
 //! those paths; the rest stay shared with the tree it was cloned from.
@@ -25,9 +30,10 @@
 //! proof game and every existing on-chain commitment are therefore
 //! unchanged by callers switching to the incremental tree.
 
-use crate::keccak::keccak256_concat;
+use crate::keccak::keccak256_batch;
 use crate::merkle::{prove_levels, MerkleProof};
-use parole_primitives::{Hash32, PagedVec};
+use parole_primitives::{Hash32, PagedVec, PAGE_LEN};
+use std::ops::Range;
 
 /// A binary Merkle tree over pre-hashed 32-byte leaves that supports
 /// in-place point edits.
@@ -59,18 +65,32 @@ pub struct CommitTree {
     levels: Vec<PagedVec<Hash32>>,
 }
 
-/// The level above `children`: pairs hashed, an unpaired last node promoted.
-/// Pages hold an even number of nodes, so no pair straddles two pages.
-fn parent_level(children: &PagedVec<Hash32>) -> PagedVec<Hash32> {
-    children
-        .pages()
-        .flat_map(|page| page.chunks(2))
-        .map(|pair| match pair {
-            [left, right] => keccak256_concat(left.as_bytes(), right.as_bytes()),
-            [single] => *single,
-            _ => unreachable!("chunks(2) yields one or two nodes"),
-        })
-        .collect()
+/// The nodes at positions `parents` (ascending) of the level above
+/// `children`: pairs hashed through one [`keccak256_batch`] call, an
+/// unpaired last child promoted unchanged.
+fn parent_nodes<'a>(
+    children: &'a PagedVec<Hash32>,
+    parents: impl Iterator<Item = usize> + Clone + 'a,
+) -> impl Iterator<Item = Hash32> + 'a {
+    let paired = |p: &usize| 2 * p + 1 < children.len();
+    let mut digests = keccak256_batch(parents.clone().filter(paired).map(|p| {
+        let mut preimage = [0u8; 64];
+        preimage[..32].copy_from_slice(children[2 * p].as_bytes());
+        preimage[32..].copy_from_slice(children[2 * p + 1].as_bytes());
+        preimage
+    }))
+    .into_iter();
+    parents.map(move |p| match paired(&p) {
+        true => digests.next().expect("one digest per pair"),
+        false => children[2 * p],
+    })
+}
+
+/// `range` split at [`PAGE_LEN`] boundaries: the unit of one batched
+/// level pass.
+fn page_ranges(Range { start, end }: Range<usize>) -> impl Iterator<Item = Range<usize>> {
+    (start / PAGE_LEN..end.div_ceil(PAGE_LEN))
+        .map(move |page| (page * PAGE_LEN).max(start)..((page + 1) * PAGE_LEN).min(end))
 }
 
 impl CommitTree {
@@ -79,8 +99,10 @@ impl CommitTree {
     /// each level's pages directly.
     pub fn from_leaves(leaves: impl IntoIterator<Item = Hash32>) -> Self {
         let mut levels = vec![leaves.into_iter().collect::<PagedVec<_>>()];
-        while levels.last().expect("non-empty").len() > 1 {
-            let next = parent_level(levels.last().expect("non-empty"));
+        while let Some(children) = levels.last().filter(|l| l.len() > 1) {
+            let next = page_ranges(0..children.len().div_ceil(2))
+                .flat_map(|page| parent_nodes(children, page))
+                .collect();
             levels.push(next);
         }
         CommitTree { levels }
@@ -110,21 +132,6 @@ impl CommitTree {
         self.levels.first().and_then(|l| l.get(index)).copied()
     }
 
-    /// Recomputes the parent node at `levels[level + 1][parent]` from its
-    /// children. The parent slot must already exist.
-    fn rehash_parent(&mut self, level: usize, parent: usize) {
-        let (children, parents) = self.levels.split_at_mut(level + 1);
-        let children = &children[level];
-        let left = 2 * parent;
-        let node = if left + 1 < children.len() {
-            keccak256_concat(children[left].as_bytes(), children[left + 1].as_bytes())
-        } else {
-            // Unpaired node promoted unchanged.
-            children[left]
-        };
-        parents[0][parent] = node;
-    }
-
     /// Replaces the leaf at `index`, repairing the path to the root:
     /// O(log n) hashes.
     ///
@@ -132,13 +139,7 @@ impl CommitTree {
     ///
     /// Panics when `index` is out of bounds.
     pub fn update(&mut self, index: usize, leaf: Hash32) {
-        assert!(index < self.len(), "leaf index {index} out of bounds");
-        self.levels[0][index] = leaf;
-        let mut idx = index;
-        for level in 0..self.levels.len() - 1 {
-            idx /= 2;
-            self.rehash_parent(level, idx);
-        }
+        self.update_batch(&[(index, leaf)]);
     }
 
     /// Applies a batch of leaf replacements, then repairs all affected paths
@@ -174,8 +175,14 @@ impl CommitTree {
                     parents.push(p);
                 }
             }
-            for &p in &parents {
-                self.rehash_parent(level, p);
+            // A page's worth of parents per batch call, wherever they sit:
+            // sparse dirt spread over many pages still fills lane groups.
+            let (lower, upper) = self.levels.split_at_mut(level + 1);
+            for chunk in parents.chunks(PAGE_LEN) {
+                let nodes = parent_nodes(&lower[level], chunk.iter().copied());
+                for (&p, node) in chunk.iter().zip(nodes) {
+                    upper[0][p] = node;
+                }
             }
             dirty = parents;
         }
@@ -220,25 +227,12 @@ impl CommitTree {
                 self.levels.push(PagedVec::new());
             }
             let start = (from / 2).min(parent_len.saturating_sub(1));
-            {
-                let (children, parents) = self.levels.split_at_mut(level + 1);
-                let children = &children[level];
-                let parents = &mut parents[0];
-                parents.truncate(parent_len);
-                for p in start..parent_len {
-                    let left = 2 * p;
-                    let node = if left + 1 < child_len {
-                        keccak256_concat(children[left].as_bytes(), children[left + 1].as_bytes())
-                    } else {
-                        children[left]
-                    };
-                    if p < parents.len() {
-                        parents[p] = node;
-                    } else {
-                        parents.push(node);
-                    }
-                }
-            }
+            let (lower, upper) = self.levels.split_at_mut(level + 1);
+            let (children, parents) = (&lower[level], &mut upper[0]);
+            parents.truncate(start);
+            parents.extend(
+                page_ranges(start..parent_len).flat_map(|page| parent_nodes(children, page)),
+            );
             from = start;
             level += 1;
         }
@@ -367,6 +361,26 @@ mod tests {
         batched.update_batch(&updates);
         assert_eq!(batched, sequential);
         assert_matches_rebuild(&batched);
+    }
+
+    #[test]
+    fn multi_page_levels_match_rebuild() {
+        // Three leaf pages and a two-page parent level: batched level
+        // passes split at page boundaries, and a full-width batch repairs
+        // more than one page of parents per level.
+        let n = 2 * PAGE_LEN + 3;
+        let mut tree = CommitTree::from_leaves(leaves(n));
+        assert_matches_rebuild(&tree);
+        let all: Vec<(usize, Hash32)> = (0..n)
+            .map(|i| (i, keccak256(format!("all-{i}").as_bytes())))
+            .collect();
+        tree.update_batch(&all);
+        assert_matches_rebuild(&tree);
+        tree.insert(5, keccak256(b"spliced in"));
+        assert_matches_rebuild(&tree);
+        tree.remove(PAGE_LEN + 1);
+        tree.remove(0);
+        assert_matches_rebuild(&tree);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! scratch:
 //!
 //! - [`keccak256`] — the Keccak-256 hash (pre-NIST padding, as used by
-//!   Ethereum), validated against published test vectors;
+//!   Ethereum), validated against published test vectors, and
+//!   [`keccak256_batch`], which digests eight single-block preimages at
+//!   once on CPUs with AVX-512F and AVX-512VL;
 //! - [`MerkleTree`] — binary Merkle trees with inclusion proofs, used for the
 //!   L2 state roots and the aggregators' fraud proofs;
 //! - [`CommitTree`] — the same tree kept resident and repaired in place
@@ -28,7 +30,7 @@
 //! assert!(wallet.public_key().verify(digest.as_bytes(), &sig));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod commit;

@@ -87,11 +87,12 @@ impl fmt::Debug for Sequencer {
 
 impl Sequencer {
     /// Creates a sequencer over the given mempool with a per-block gas
-    /// limit; the fee controller targets half the limit (EIP-1559's
-    /// elasticity of 2).
+    /// limit; the fee controller targets half the limit, rounded up
+    /// (EIP-1559's elasticity of 2: a full block is at most twice the
+    /// target).
     pub fn new(mempool: BedrockMempool, gas_limit: Gas) -> Self {
         let base_fee = mempool.base_fee();
-        let target = Gas::new((gas_limit.units() / 2).max(1));
+        let target = Gas::new(gas_limit.units().div_ceil(2).max(1));
         Sequencer {
             mempool,
             fee_controller: BaseFeeController::new(base_fee, target),
@@ -182,8 +183,19 @@ impl Sequencer {
 
     /// Adjusts the per-block gas limit (the L1-style limit drift real
     /// sequencers apply between blocks). The fee controller's target is
-    /// unchanged; only block filling is affected.
+    /// unchanged; only block filling is affected. The limit may drop to
+    /// anything, but may rise only to twice the target: a fuller block
+    /// would move the base fee by more than EIP-1559's 1/8 per block.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `gas_limit` exceeds twice the fee controller's target.
     pub fn set_gas_limit(&mut self, gas_limit: Gas) {
+        let target = self.fee_controller.target_gas();
+        assert!(
+            gas_limit.units() <= target.units().saturating_mul(2),
+            "gas limit {gas_limit} exceeds twice the fee controller's target {target}"
+        );
         self.gas_limit = gas_limit;
     }
 
@@ -395,6 +407,35 @@ mod tests {
             seq.base_fee() > before,
             "sustained full blocks must reprice"
         );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "gas limit 200003 gas exceeds twice the fee controller's target 100001 gas"
+    )]
+    fn gas_limit_past_twice_the_target_panics() {
+        let mut seq = sequencer_with(Vec::new(), 200_002);
+        seq.set_gas_limit(Gas::new(200_003));
+    }
+
+    #[test]
+    fn an_odd_gas_limit_stays_within_twice_the_target() {
+        // The target rounds up, so the limit a sequencer starts with can
+        // always be set again.
+        let mut seq = sequencer_with(Vec::new(), 200_001);
+        seq.set_gas_limit(seq.gas_limit());
+    }
+
+    #[test]
+    fn block_at_twice_the_target_raises_the_fee_by_one_eighth() {
+        // Target 100_001 gas; two mints at 100_001 gas each fill a block
+        // of exactly twice the target.
+        let mut seq = sequencer_with((1..=3).map(|i| tx(i, 5)).collect(), 200_002);
+        seq.set_gas_limit(Gas::new(200_002));
+        let before = seq.base_fee().wei();
+        let block = seq.seal_block(&L2State::new(), None);
+        assert_eq!(block.gas_used, Gas::new(200_002));
+        assert_eq!(seq.base_fee().wei(), before + before / 8);
     }
 
     #[test]

@@ -218,8 +218,9 @@ impl<K: FlatKey, V: Clone> FlatMap<K, V> {
     }
 
     fn mark_stale(&mut self) {
-        // `&mut self` guarantees exclusivity; `lock` cannot block here.
-        self.order.lock().expect("order cache poisoned").stale = true;
+        // `&mut self` guarantees exclusivity, so reach the cache without a
+        // lock round-trip (this runs on every insert of a world build).
+        self.order.get_mut().expect("order cache poisoned").stale = true;
     }
 
     /// Inserts or replaces, returning the previous value if any.

@@ -320,14 +320,21 @@ impl<T: Clone> IndexMut<usize> for PagedVec<T> {
     }
 }
 
-impl<T> FromIterator<T> for PagedVec<T> {
-    /// Builds the pages directly, sealing each as it fills — no per-element
+impl<T> Extend<T> for PagedVec<T> {
+    /// Appends in order, sealing each page as it fills — no per-element
     /// copy-on-write check.
+    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
+        for v in iter {
+            self.push(v);
+        }
+    }
+}
+
+impl<T> FromIterator<T> for PagedVec<T> {
+    /// Builds the pages directly (see [`Extend`]).
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut out = PagedVec::new();
-        for v in iter {
-            out.push(v);
-        }
+        out.extend(iter);
         out
     }
 }

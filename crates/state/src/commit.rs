@@ -24,8 +24,10 @@
 //! in a collection with `n` active tokens re-hashes one 90-byte token leaf
 //! plus O(log n) sub-tree nodes plus the 122-byte collection header and its
 //! O(log m) top-level path, instead of re-absorbing the entire ownership
-//! list (O(n) hashing) into one flat leaf. Dirty-leaf preimages are piped
-//! through [`keccak256_batch`], which recycles one sponge across the batch.
+//! list (O(n) hashing) into one flat leaf. Leaf preimages (dirty leaves on
+//! a flush, every account leaf on a build) are piped through
+//! [`keccak256_batch`], which digests them eight at a time where the CPU
+//! allows.
 //!
 //! Forks share the clean cache copy-on-write: the cache sits behind an
 //! [`Arc`], so `L2State::clone` / `L2State::fork` is O(1) for the
@@ -47,7 +49,7 @@ use crate::tables::{AccountTable, CollTable};
 use crate::AccountState;
 use parole_crypto::{keccak256, keccak256_batch, CommitTree, Hash32, MerkleProof};
 use parole_nft::Collection;
-use parole_primitives::{Address, BlockNumber, PagedVec, TokenId, Wei};
+use parole_primitives::{Address, BlockNumber, PagedVec, TokenId, Wei, PAGE_LEN};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -373,8 +375,8 @@ pub(crate) struct CommitCache {
 impl CommitCache {
     /// Builds the full commitment from scratch (the one unavoidable O(n)
     /// pass; every later flush is O(dirty · log n)). Account leaves are
-    /// hashed as the sorted walk yields them, straight into the tree's
-    /// leaf pages.
+    /// hashed a page at a time as the sorted walk yields them, straight
+    /// into the tree's leaf pages.
     fn build(accounts: &AccountTable, collections: &CollTable, block: BlockNumber) -> Self {
         let mut coll_subs = Vec::with_capacity(collections.len());
         let mut coll_keys = Vec::with_capacity(collections.len());
@@ -388,9 +390,16 @@ impl CommitCache {
                 leaf
             })
             .collect();
-        let acct_leaves = accounts
+        // One page of account leaves per batch call: the lane kernel gets
+        // full groups, and no transient buffer grows with the world.
+        let mut acct_preimages = accounts
             .iter_sorted()
-            .map(|(&addr, acct)| keccak256(&acct_preimage(addr, acct)));
+            .map(|(&addr, acct)| acct_preimage(addr, acct));
+        let acct_leaves = std::iter::from_fn(|| {
+            let page = keccak256_batch(acct_preimages.by_ref().take(PAGE_LEN));
+            (!page.is_empty()).then_some(page)
+        })
+        .flatten();
         let leaves = std::iter::once(keccak256(&meta_preimage(block)))
             .chain(acct_leaves)
             .chain(coll_leaves);
