@@ -69,15 +69,19 @@ fn bench_state_root(c: &mut Criterion) {
     use parole_primitives::{Address, TokenId};
     use parole_state::L2State;
 
+    let funded = |n: usize| (1..=n as u64).map(|i| (Address::from_low_u64(i), Wei::from_gwei(i)));
     let mut group = c.benchmark_group("state_root");
+    // Genesis: bulk-load 10^5 ascending accounts and build the first root
+    // (the set-up every pipeline pass pays, at a tenth of its scale).
+    let n = 100_000usize;
+    group.bench_with_input(BenchmarkId::new("genesis", n), &n, |b, &n| {
+        b.iter(|| black_box(L2State::from_accounts(funded(n))).state_root())
+    });
     // Full rebuild vs the dirty-tracked incremental flush, and the cost of
     // a fork that writes, across world sizes (10^2..10^5 accounts) and
     // dirty-set sizes (1 and 64 records).
     for n in [100usize, 1_000, 10_000, 100_000] {
-        let mut state = L2State::new();
-        for i in 0..n as u64 {
-            state.credit(Address::from_low_u64(i + 1), Wei::from_gwei(i + 1));
-        }
+        let mut state = L2State::from_accounts(funded(n));
         for k in 0..16u64 {
             let coll = state.deploy_collection(CollectionConfig::limited_edition("BR", 64, 100));
             for t in 0..8u64 {

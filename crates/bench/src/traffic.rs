@@ -323,14 +323,15 @@ pub fn generate_backlog(cfg: &TrafficConfig) -> Vec<NftTransaction> {
         .collect()
 }
 
-/// Builds the funded world: every account credited, every collection
-/// deployed empty. The flat arena is the only layout, so `_backend` selects
-/// nothing.
+/// Builds the funded world: `cfg.accounts` accounts holding 50 ETH each,
+/// then every collection deployed empty. The accounts are numbered in
+/// ascending address order, so [`L2State::from_accounts`] bulk-loads them
+/// into the account table in one pass, and the first `state_root()` shares
+/// the table's key pages. The flat arena is the only layout, so `_backend`
+/// selects nothing.
 pub fn build_world(cfg: &TrafficConfig, _backend: StorageBackend) -> L2State {
-    let mut state = L2State::new();
-    for i in 0..cfg.accounts {
-        state.credit(cfg.account(i), Wei::from_eth(50));
-    }
+    let mut state =
+        L2State::from_accounts((0..cfg.accounts).map(|i| (cfg.account(i), Wei::from_eth(50))));
     for (c, addr) in collection_addresses(cfg).into_iter().enumerate() {
         state
             .deploy_collection_at(

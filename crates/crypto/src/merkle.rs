@@ -54,6 +54,39 @@ impl MerkleTree {
         MerkleTree { levels }
     }
 
+    /// The root [`MerkleTree::from_leaves`] builds for `leaves`, computed in
+    /// one streaming pass that keeps one pending node per level instead of
+    /// the tree: O(log n) memory for n leaves, the same scalar hashing.
+    pub fn root_of(leaves: impl IntoIterator<Item = Hash32>) -> Hash32 {
+        // `pending[l]`: the last node finished at level `l`, while it still
+        // waits for its right sibling.
+        let mut pending: Vec<Option<Hash32>> = Vec::new();
+        for mut node in leaves {
+            let mut level = 0;
+            while let Some(left) = pending.get_mut(level).and_then(Option::take) {
+                node = keccak256_concat(left.as_bytes(), node.as_bytes());
+                level += 1;
+            }
+            match pending.get_mut(level) {
+                Some(slot) => *slot = Some(node),
+                None => pending.push(Some(node)),
+            }
+        }
+        // Close the right edge bottom-up. `carry` is the last node of the
+        // current level: it pairs with a pending left sibling, and an
+        // unpaired node is promoted unchanged.
+        let mut carry: Option<Hash32> = None;
+        for node in pending {
+            carry = match (node, carry) {
+                (Some(left), Some(right)) => {
+                    Some(keccak256_concat(left.as_bytes(), right.as_bytes()))
+                }
+                (left, right) => left.or(right),
+            };
+        }
+        carry.unwrap_or(Hash32::ZERO)
+    }
+
     /// The Merkle root ([`Hash32::ZERO`] for an empty tree).
     pub fn root(&self) -> Hash32 {
         self.levels

@@ -192,6 +192,27 @@ proptest! {
         }
     }
 
+    /// The streaming root equals the built tree's root for any leaf count
+    /// up to about 300, with the counts around each power of two (where the
+    /// right edge promotes an unpaired node at a different level) drawn on
+    /// purpose.
+    #[test]
+    fn streamed_root_matches_built_tree(
+        n in prop_oneof![
+            0usize..301,
+            (0u32..9, 0usize..3).prop_map(|(k, d)| ((1usize << k) + d).saturating_sub(1)),
+        ],
+        seed in any::<u64>(),
+    ) {
+        let leaves: Vec<_> = (0..n as u64)
+            .map(|i| keccak256(&(seed ^ i).to_be_bytes()))
+            .collect();
+        prop_assert_eq!(
+            MerkleTree::root_of(leaves.iter().copied()),
+            MerkleTree::from_leaves(leaves).root()
+        );
+    }
+
     /// Merkle proofs verify for every leaf, and fail against a different root.
     #[test]
     fn merkle_proof_sound(n in 1usize..40, tamper in any::<u64>()) {

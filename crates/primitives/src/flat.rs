@@ -13,8 +13,12 @@
 //!   pointer copies, and writes afterwards copy only the pages they touch;
 //! - a lazily-rebuilt sorted-order cache so deterministic key-sorted
 //!   iteration — which the commitment layer depends on for bit-identical
-//!   state roots — costs one `sort_unstable` after a burst of insertions
-//!   rather than a tree traversal per read.
+//!   state roots — costs one run-adaptive sort after a burst of insertions
+//!   rather than a tree traversal per read;
+//! - one bulk-load path (`FromIterator`, which `Deserialize` also takes):
+//!   keys that arrive in ascending order go straight into the slab pages,
+//!   the index is built once, and the order cache starts sorted, so a
+//!   sorted load costs no probe per record and no sort.
 //!
 //! Slots are internal: `remove` swap-fills the freed slot from the tail, so
 //! a record's slot moves whenever another record is removed.
@@ -49,9 +53,10 @@ pub enum StorageBackend {
     Arena,
 }
 
-/// Keys usable in a [`FlatMap`]: cheaply copyable, totally ordered, and
-/// hashable through a deterministic fixed-constant mix.
-pub trait FlatKey: Copy + Ord + Eq + std::fmt::Debug {
+/// Keys usable in a [`FlatMap`]: cheaply copyable, totally ordered,
+/// printable (a load error names the key), and hashable through a
+/// deterministic fixed-constant mix.
+pub trait FlatKey: Copy + Ord + Eq + std::fmt::Debug + std::fmt::Display {
     /// A well-mixed 64-bit hash of the key. Must be deterministic across
     /// runs and platforms (no per-process seeding).
     fn flat_hash(&self) -> u64;
@@ -202,19 +207,41 @@ impl<K: FlatKey, V: Clone> FlatMap<K, V> {
         if buckets <= self.index.len() {
             return;
         }
-        // Rehash into a plain `Vec` and page it once, rather than paying a
-        // copy-on-write check per bucket write.
+        self.index = Self::rehash(&self.keys, buckets);
+        self.mask = buckets - 1;
+    }
+
+    /// An index of `buckets` (a power of two) over every slot of `keys`.
+    /// Rehashes into a plain `Vec` and pages it once, rather than paying a
+    /// copy-on-write check per bucket write.
+    fn rehash(keys: &PagedVec<K>, buckets: usize) -> PagedVec<u32> {
         let mask = buckets - 1;
         let mut index = vec![EMPTY; buckets];
-        for (slot, key) in self.keys.iter().enumerate() {
+        for (slot, key) in keys.iter().enumerate() {
             let mut i = (key.flat_hash() as usize) & mask;
             while index[i] != EMPTY {
                 i = (i + 1) & mask;
             }
             index[i] = slot as u32;
         }
-        self.index = index.into();
-        self.mask = mask;
+        index.into()
+    }
+
+    /// A map over slabs whose keys are strictly ascending: the index is
+    /// built in one pass, and the sorted order is the slot order, so the
+    /// order cache starts fresh without a sort.
+    fn from_ascending(keys: PagedVec<K>, vals: PagedVec<V>) -> Self {
+        let buckets = Self::buckets_for(keys.len());
+        FlatMap {
+            index: Self::rehash(&keys, buckets),
+            mask: buckets - 1,
+            order: Mutex::new(OrderCache {
+                sorted: Arc::new((0..keys.len() as u32).collect()),
+                stale: false,
+            }),
+            keys,
+            vals,
+        }
     }
 
     fn mark_stale(&mut self) {
@@ -332,15 +359,40 @@ impl<K: FlatKey, V: Clone> FlatMap<K, V> {
         let mut guard = self.order.lock().expect("order cache poisoned");
         if guard.stale || guard.sorted.len() != self.keys.len() {
             // Sort slot numbers in place (no key copies held beside the
-            // map), reading keys through the page slices directly.
+            // map), reading keys through the page slices directly. Keys are
+            // unique, so a stable sort gives the unstable sort's order; it
+            // is the run-adaptive one: a bulk-loaded ascending prefix with a
+            // few keys inserted after it costs a merge, not a full sort.
             let pages: Vec<&[K]> = self.keys.pages().collect();
             let key = |slot: u32| &pages[slot as usize / PAGE_LEN][slot as usize % PAGE_LEN];
             let mut slots: Vec<u32> = (0..self.keys.len() as u32).collect();
-            slots.sort_unstable_by(|a, b| key(*a).cmp(key(*b)));
+            slots.sort_by(|a, b| key(*a).cmp(key(*b)));
             guard.sorted = Arc::new(slots);
             guard.stale = false;
         }
         Arc::clone(&guard.sorted)
+    }
+
+    /// The keys in sorted order. The result shares the key slab's pages
+    /// for the longest prefix of slots already in key order and copies only
+    /// the keys after it, so a map bulk-loaded in ascending order through
+    /// [`FromIterator`] hands out its sorted keys without copying a full
+    /// page.
+    pub fn sorted_keys(&self) -> PagedVec<K> {
+        let order = self.sorted_slots();
+        let in_place = order
+            .iter()
+            .zip(0u32..)
+            .take_while(|&(&slot, i)| slot == i)
+            .count();
+        let mut keys = self.keys.clone();
+        keys.truncate(in_place);
+        keys.extend(
+            order[in_place..]
+                .iter()
+                .map(|&slot| self.keys[slot as usize]),
+        );
+        keys
     }
 
     /// `(shared, total)` full pages of this map's slabs and index that
@@ -432,6 +484,10 @@ impl<K: FlatKey + Serialize, V: Clone + Serialize> Serialize for FlatMap<K, V> {
 }
 
 impl<K: FlatKey + Deserialize, V: Clone + Deserialize> Deserialize for FlatMap<K, V> {
+    /// Loads through the bulk path ([`FromIterator`]) and rejects a repeated
+    /// key, naming it: `Serialize` never writes one, so a repeat means the
+    /// input was corrupted or written by hand, and keeping either entry
+    /// would load a different map than the one that was written.
     fn from_value(value: &Value) -> Result<Self, DeError> {
         let entries: Vec<(&Value, &Value)> = match value {
             Value::Map(entries) => entries.iter().map(|(k, v)| (k, v)).collect(),
@@ -452,18 +508,42 @@ impl<K: FlatKey + Deserialize, V: Clone + Deserialize> Deserialize for FlatMap<K
                 )))
             }
         };
-        let mut out = FlatMap::with_capacity(entries.len());
-        for (k, v) in entries {
-            out.insert(K::from_value(k)?, V::from_value(v)?);
+        let out: FlatMap<K, V> = entries
+            .iter()
+            .map(|&(k, v)| Ok((K::from_value(k)?, V::from_value(v)?)))
+            .collect::<Result<_, DeError>>()?;
+        if out.len() < entries.len() {
+            // The bulk load kept one value per key; find the first repeat.
+            let mut seen: FlatMap<K, ()> = FlatMap::with_capacity(entries.len());
+            for &(k, _) in &entries {
+                let key = K::from_value(k)?;
+                if seen.insert(key, ()).is_some() {
+                    return Err(DeError::custom(format!("FlatMap: repeated key {key}")));
+                }
+            }
         }
         Ok(out)
     }
 }
 
 impl<K: FlatKey, V: Clone> FromIterator<(K, V)> for FlatMap<K, V> {
+    /// Bulk load, equal to inserting each pair in turn into
+    /// [`FlatMap::new`]. While keys arrive strictly ascending they go
+    /// straight into the slab pages, and the index is then built in one
+    /// pass with the order cache already sorted. The first out-of-order or
+    /// repeated key switches to [`FlatMap::insert`] for the rest, so the
+    /// last value for a key wins.
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
-        let iter = iter.into_iter();
-        let mut out = FlatMap::with_capacity(iter.size_hint().0);
+        let mut iter = iter.into_iter().peekable();
+        let mut keys = PagedVec::new();
+        let mut vals = PagedVec::new();
+        let mut last: Option<K> = None;
+        while let Some((k, v)) = iter.next_if(|&(k, _)| last.is_none_or(|last| k > last)) {
+            last = Some(k);
+            keys.push(k);
+            vals.push(v);
+        }
+        let mut out = FlatMap::from_ascending(keys, vals);
         for (k, v) in iter {
             out.insert(k, v);
         }
@@ -557,6 +637,75 @@ mod tests {
         );
         let back = FlatMap::<u64, u64>::from_value(&flat.to_value()).unwrap();
         assert_eq!(back, flat);
+    }
+
+    #[test]
+    fn deserialize_rejects_a_repeated_key_in_map_shape() {
+        let entry = |k: u64, v: u64| (k.to_value(), v.to_value());
+        let value = Value::Map(vec![entry(1, 10), entry(5, 50), entry(1, 11)]);
+        let err = FlatMap::<u64, u64>::from_value(&value).unwrap_err();
+        assert_eq!(err.message(), "FlatMap: repeated key 1");
+        let value = Value::Map(vec![entry(1, 10), entry(5, 50), entry(3, 30)]);
+        let back = FlatMap::<u64, u64>::from_value(&value).unwrap();
+        assert_eq!(back.len(), 3);
+        assert_eq!(back.get(&3), Some(&30));
+    }
+
+    #[test]
+    fn deserialize_rejects_a_repeated_key_in_pair_seq_shape() {
+        // Address keys are not strings, so a map is written as `[key,
+        // value]` pairs: the shape of a list of tuples.
+        let pairs = |p: &[(u64, u64)]| {
+            let p: Vec<(Address, u64)> = p.iter().map(|&(a, v)| (addr(a), v)).collect();
+            serde_json::to_string(&p).unwrap()
+        };
+        let map: FlatMap<Address, u64> = [(addr(2), 20), (addr(7), 70)].into_iter().collect();
+        let written = serde_json::to_string(&map).unwrap();
+        assert_eq!(written, pairs(&[(2, 20), (7, 70)]));
+        let back: FlatMap<Address, u64> = serde_json::from_str(&written).unwrap();
+        assert_eq!(back, map);
+        // The same address twice, as a corrupted or hand-edited state file
+        // might hold it.
+        let repeated = pairs(&[(2, 20), (7, 70), (2, 21)]);
+        let err = serde_json::from_str::<FlatMap<Address, u64>>(&repeated).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains(&format!("FlatMap: repeated key {}", addr(2))),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn ascending_load_shares_its_key_pages_with_sorted_keys() {
+        let n = 3 * PAGE_LEN as u64 + 5;
+        let m: FlatMap<u64, u64> = (0..n).map(|k| (k, k * 10)).collect();
+        assert!(
+            !m.order.lock().unwrap().stale,
+            "loaded sorted, no sort owed"
+        );
+        let keys = m.sorted_keys();
+        assert_eq!(keys.to_vec(), (0..n).collect::<Vec<_>>());
+        assert_eq!(keys.shared_pages(&m.keys), (3, 3));
+        for k in 0..n {
+            assert_eq!(m.get(&k), Some(&(k * 10)));
+        }
+    }
+
+    #[test]
+    fn a_late_out_of_order_key_still_shares_the_leading_pages() {
+        let n = 3 * PAGE_LEN as u64 + 5;
+        let late = 2 * PAGE_LEN as u64 + 10;
+        let m: FlatMap<u64, u64> = (0..n)
+            .filter(|&k| k != late)
+            .chain([late, 4])
+            .map(|k| (k, k + 1))
+            .collect();
+        assert_eq!(m.len(), n as usize);
+        let keys = m.sorted_keys();
+        assert_eq!(keys.to_vec(), (0..n).collect::<Vec<_>>());
+        let want: Vec<u64> = m.iter_sorted().map(|(k, _)| *k).collect();
+        assert_eq!(keys.to_vec(), want);
+        assert_eq!(keys.shared_pages(&m.keys), (2, 3));
     }
 
     #[test]

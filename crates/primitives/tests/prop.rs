@@ -1,7 +1,44 @@
 //! Property-based tests for the primitive value types.
 
-use parole_primitives::{Address, FeeBundle, Gas, PagedVec, Wei, WeiDelta, PAGE_LEN};
+use parole_primitives::{Address, FeeBundle, FlatMap, Gas, PagedVec, Wei, WeiDelta, PAGE_LEN};
 use proptest::prelude::*;
+
+/// A deterministic shuffle: sorts by a keyed multiply-xor hash of each key.
+fn shuffled(mut keys: Vec<u64>, seed: u64) -> Vec<u64> {
+    keys.sort_by_key(|&k| {
+        (k ^ seed)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(29)
+    });
+    keys
+}
+
+/// Keys in one of the orders a bulk load must handle: strictly ascending,
+/// shuffled, full of repeats (in draw order, or sorted so every repeat
+/// follows its twin), or an ascending run followed by a shuffled tail that
+/// reaches back below it and repeats some of it.
+fn load_order(kind: u8, raw: Vec<u64>, seed: u64) -> Vec<u64> {
+    let mut distinct = raw.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    match kind {
+        0 => distinct,
+        1 => shuffled(distinct, seed),
+        2 => raw.iter().map(|k| k % 17).collect(),
+        3 => {
+            let mut repeats: Vec<u64> = raw.iter().map(|k| k % 97).collect();
+            repeats.sort_unstable();
+            repeats
+        }
+        _ => {
+            let split = (seed as usize) % (distinct.len() + 1);
+            let mut tail = distinct.split_off(split);
+            tail.extend(distinct.iter().step_by(3).copied());
+            distinct.extend(shuffled(tail, seed));
+            distinct
+        }
+    }
+}
 
 proptest! {
     /// Addition then subtraction round-trips.
@@ -139,5 +176,39 @@ proptest! {
         for (snapshot, contents) in &snapshots {
             prop_assert_eq!(&snapshot.to_vec(), contents);
         }
+    }
+
+    /// The bulk load (`FromIterator`) builds the same map as inserting each
+    /// pair in turn into `FlatMap::new()`, the last value winning for a
+    /// repeated key, whatever order the keys arrive in; and `sorted_keys`
+    /// lists the keys of `iter_sorted`. Sizes reach past two pages so the
+    /// ascending run seals pages before any key arrives out of order.
+    #[test]
+    fn bulk_load_equals_one_insert_at_a_time(
+        kind in 0u8..5,
+        raw in prop::collection::vec(0u64..1 << 40, 0..2_600),
+        seed in any::<u64>(),
+    ) {
+        let pairs: Vec<(u64, u64)> = load_order(kind, raw, seed)
+            .into_iter()
+            .enumerate()
+            .map(|(i, k)| (k, i as u64))
+            .collect();
+        let loaded: FlatMap<u64, u64> = pairs.iter().copied().collect();
+        let mut inserted = FlatMap::new();
+        for &(k, v) in &pairs {
+            inserted.insert(k, v);
+        }
+        prop_assert_eq!(loaded.len(), inserted.len());
+        for &(k, _) in &pairs {
+            prop_assert_eq!(loaded.get(&k), inserted.get(&k));
+        }
+        let sorted: Vec<(u64, u64)> = loaded.iter_sorted().map(|(k, v)| (*k, *v)).collect();
+        let want: Vec<(u64, u64)> = inserted.iter_sorted().map(|(k, v)| (*k, *v)).collect();
+        prop_assert_eq!(&sorted, &want);
+        prop_assert!(loaded == inserted);
+        let keys: Vec<u64> = sorted.iter().map(|&(k, _)| k).collect();
+        prop_assert_eq!(loaded.sorted_keys().to_vec(), keys.clone());
+        prop_assert_eq!(inserted.sorted_keys().to_vec(), keys);
     }
 }

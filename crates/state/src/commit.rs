@@ -356,7 +356,9 @@ impl CollDirt {
 ///
 /// The two 10⁶-scale parts, the top-level tree and `acct_keys`, are paged
 /// ([`PagedVec`]), so cloning the cache copies page pointers and a flush on
-/// the clone copies only the pages its dirty paths cross.
+/// the clone copies only the pages its dirty paths cross. `acct_keys`
+/// starts out sharing the account table's sorted key pages (see
+/// [`CommitCache::build`]); a splice copies the pages it shifts.
 #[derive(Debug, Clone)]
 pub(crate) struct CommitCache {
     tree: CommitTree,
@@ -376,7 +378,9 @@ impl CommitCache {
     /// Builds the full commitment from scratch (the one unavoidable O(n)
     /// pass; every later flush is O(dirty · log n)). Account leaves are
     /// hashed a page at a time as the sorted walk yields them, straight
-    /// into the tree's leaf pages.
+    /// into the tree's leaf pages. `acct_keys` shares the account table's
+    /// key pages wherever the table already holds its keys in address order
+    /// (a bulk-loaded genesis holds all of them so), copying only the rest.
     fn build(accounts: &AccountTable, collections: &CollTable, block: BlockNumber) -> Self {
         let mut coll_subs = Vec::with_capacity(collections.len());
         let mut coll_keys = Vec::with_capacity(collections.len());
@@ -405,7 +409,7 @@ impl CommitCache {
             .chain(coll_leaves);
         CommitCache {
             tree: CommitTree::from_leaves(leaves),
-            acct_keys: accounts.iter_sorted().map(|(&k, _)| k).collect(),
+            acct_keys: accounts.sorted_keys(),
             coll_keys,
             coll_subs,
         }

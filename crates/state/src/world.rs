@@ -156,6 +156,52 @@ impl L2State {
         }
     }
 
+    /// A world state at block 0 holding the given accounts: equal to
+    /// crediting each `(address, amount)` pair in order on
+    /// [`L2State::new`], so a repeated address sums its amounts and a zero
+    /// amount still creates the account.
+    ///
+    /// Pairs that arrive in strictly ascending address order, as a genesis
+    /// allocation does, are bulk-loaded into the account table with no
+    /// per-account probe and no sort (see `FlatMap`'s `FromIterator`), and
+    /// the first `state_root()` shares their key pages instead of copying
+    /// the addresses. The first pair out of that order, and every pair
+    /// after it, is credited one at a time.
+    ///
+    /// ```
+    /// use parole_primitives::{Address, Wei};
+    /// use parole_state::L2State;
+    ///
+    /// let pairs = [(1, 5), (2, 7), (9, 1), (2, 3)]
+    ///     .map(|(a, eth)| (Address::from_low_u64(a), Wei::from_eth(eth)));
+    /// let mut credited = L2State::new();
+    /// for (who, amount) in pairs {
+    ///     credited.credit(who, amount);
+    /// }
+    /// let loaded = L2State::from_accounts(pairs);
+    /// assert!(loaded == credited);
+    /// assert_eq!(loaded.balance_of(Address::from_low_u64(2)), Wei::from_eth(10));
+    /// assert_eq!(loaded.state_root(), credited.state_root());
+    /// ```
+    pub fn from_accounts(accounts: impl IntoIterator<Item = (Address, Wei)>) -> Self {
+        let mut pairs = accounts.into_iter().peekable();
+        let mut last: Option<Address> = None;
+        let table: AccountTable = std::iter::from_fn(|| {
+            let (who, amount) = pairs.next_if(|&(who, _)| last.is_none_or(|last| who > last))?;
+            last = Some(who);
+            Some((who, AccountState::with_balance(amount)))
+        })
+        .collect();
+        let mut state = L2State {
+            accounts: table,
+            ..L2State::new()
+        };
+        for (who, amount) in pairs {
+            state.credit(who, amount);
+        }
+        state
+    }
+
     /// An empty world state on the given layout; the same as
     /// [`L2State::new`], since the flat arena is the only layout.
     pub fn with_backend(_backend: StorageBackend) -> Self {
@@ -1027,9 +1073,11 @@ impl L2State {
     /// differential oracle uses it as the independent side so a stale or
     /// corrupted commitment cache can never vouch for itself. To stay
     /// independent, the two-level preimage scheme is re-derived **inline**
-    /// here — own byte layout, one-shot [`keccak256`], plain
-    /// [`MerkleTree`] rebuilds — sharing nothing with `crate::commit`
-    /// except the specification:
+    /// here — own byte layout, one-shot [`keccak256`], the scalar
+    /// [`MerkleTree::root_of`] — sharing nothing with `crate::commit`
+    /// except the specification. Leaves stream into their roots as they
+    /// are hashed, so the check holds O(log n) nodes beside the state, not
+    /// a copy of the tree:
     ///
     /// - metadata leaf: `"meta" ‖ block number (8B BE)`;
     /// - token leaf: `"tokn" ‖ token (8B BE) ‖ owner (20B) ‖ approved
@@ -1044,45 +1092,40 @@ impl L2State {
     /// - top level: the metadata leaf, then all account leaves in address
     ///   order, then all collection leaves in address order.
     pub fn state_root_naive(&self) -> Hash32 {
-        let mut leaves = Vec::with_capacity(1 + self.accounts.len() + self.collections.len());
-        {
+        let meta = {
             let mut buf = Vec::with_capacity(12);
             buf.extend_from_slice(b"meta");
             buf.extend_from_slice(&self.block.value().to_be_bytes());
-            leaves.push(keccak256(&buf));
-        }
-        for (addr, acct) in self.accounts.iter_sorted() {
+            keccak256(&buf)
+        };
+        let accounts = self.accounts.iter_sorted().map(|(addr, acct)| {
             let encoded = acct.encode();
             let mut buf = Vec::with_capacity(28 + encoded.len());
             buf.extend_from_slice(b"acct");
             buf.extend_from_slice(addr.as_bytes());
             buf.extend_from_slice(&(encoded.len() as u32).to_be_bytes());
             buf.extend_from_slice(&encoded);
-            leaves.push(keccak256(&buf));
-        }
-        for (addr, coll) in self.collections.iter_sorted() {
-            let token_leaves: Vec<Hash32> = coll
-                .iter()
-                .map(|(token, owner)| {
-                    let approved = coll.get_approved(token).unwrap_or(Address::ZERO);
-                    let listing = coll.listing_of(token);
-                    let mut buf = Vec::with_capacity(90);
-                    buf.extend_from_slice(b"tokn");
-                    buf.extend_from_slice(&token.value().to_be_bytes());
-                    buf.extend_from_slice(owner.as_bytes());
-                    buf.extend_from_slice(approved.as_bytes());
-                    buf.extend_from_slice(&coll.token_royalty_bps(token).to_be_bytes());
-                    buf.extend_from_slice(listing.map_or(Address::ZERO, |l| l.seller).as_bytes());
-                    buf.extend_from_slice(
-                        &listing
-                            .map_or(parole_primitives::Wei::ZERO, |l| l.price)
-                            .wei()
-                            .to_be_bytes(),
-                    );
-                    keccak256(&buf)
-                })
-                .collect();
-            let sub_root = MerkleTree::from_leaves(token_leaves).root();
+            keccak256(&buf)
+        });
+        let collections = self.collections.iter_sorted().map(|(addr, coll)| {
+            let sub_root = MerkleTree::root_of(coll.iter().map(|(token, owner)| {
+                let approved = coll.get_approved(token).unwrap_or(Address::ZERO);
+                let listing = coll.listing_of(token);
+                let mut buf = Vec::with_capacity(90);
+                buf.extend_from_slice(b"tokn");
+                buf.extend_from_slice(&token.value().to_be_bytes());
+                buf.extend_from_slice(owner.as_bytes());
+                buf.extend_from_slice(approved.as_bytes());
+                buf.extend_from_slice(&coll.token_royalty_bps(token).to_be_bytes());
+                buf.extend_from_slice(listing.map_or(Address::ZERO, |l| l.seller).as_bytes());
+                buf.extend_from_slice(
+                    &listing
+                        .map_or(parole_primitives::Wei::ZERO, |l| l.price)
+                        .wei()
+                        .to_be_bytes(),
+                );
+                keccak256(&buf)
+            }));
             let oper_digest = {
                 let mut buf = Vec::with_capacity(4 + 40 * coll.operator_approval_count() as usize);
                 buf.extend_from_slice(b"oper");
@@ -1102,9 +1145,9 @@ impl L2State {
             buf.extend_from_slice(oper_digest.as_bytes());
             buf.extend_from_slice(sub_root.as_bytes());
             buf.extend_from_slice(&coll.config().royalty_bps.to_be_bytes());
-            leaves.push(keccak256(&buf));
-        }
-        MerkleTree::from_leaves(leaves).root()
+            keccak256(&buf)
+        });
+        MerkleTree::root_of(std::iter::once(meta).chain(accounts).chain(collections))
     }
 
     /// Opens `who`'s account record against the current state root: the

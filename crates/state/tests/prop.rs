@@ -131,6 +131,49 @@ fn assert_serde_roundtrip(state: &L2State) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// A deterministic shuffle: sorts by a keyed multiply-xor hash of each
+/// item.
+fn shuffled<T>(mut items: Vec<T>, seed: u64, key: impl Fn(&T) -> u64) -> Vec<T> {
+    items.sort_by_key(|t| {
+        (key(t) ^ seed)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(29)
+    });
+    items
+}
+
+/// Genesis allocations in one of these orders: strictly ascending
+/// addresses, shuffled, full of repeated addresses (in draw order, or
+/// sorted so every repeat follows its twin), or an ascending run followed
+/// by a shuffled tail that reaches back below it and repeats some of it.
+/// Amounts may be zero.
+fn allocation(kind: u8, raw: Vec<(u64, u64)>, seed: u64) -> Vec<(Address, Wei)> {
+    let mut distinct = raw.clone();
+    distinct.sort_unstable_by_key(|&(a, _)| a);
+    distinct.dedup_by_key(|&mut (a, _)| a);
+    let order = match kind {
+        0 => distinct,
+        1 => shuffled(distinct, seed, |&(a, _)| a),
+        2 => raw.iter().map(|&(a, v)| (a % 13, v)).collect(),
+        3 => {
+            let mut repeats: Vec<(u64, u64)> = raw.iter().map(|&(a, v)| (a % 97, v)).collect();
+            repeats.sort_unstable_by_key(|&(a, _)| a);
+            repeats
+        }
+        _ => {
+            let split = (seed as usize) % (distinct.len() + 1);
+            let mut tail = distinct.split_off(split);
+            tail.extend(distinct.iter().step_by(3).copied());
+            distinct.extend(shuffled(tail, seed, |&(a, _)| a));
+            distinct
+        }
+    };
+    order
+        .into_iter()
+        .map(|(a, v)| (Address::from_low_u64(a), Wei::from_milli_eth(v)))
+        .collect()
+}
+
 fn fresh() -> (L2State, Address) {
     let mut s = L2State::new();
     let coll = s.deploy_collection(CollectionConfig::limited_edition("SP", 8, 100));
@@ -280,5 +323,57 @@ proptest! {
             apply(&mut fork, coll, op);
         }
         prop_assert_eq!(base.state_root(), snapshot);
+    }
+}
+
+proptest! {
+    // Each case hashes a few thousand leaves through the scalar naive root;
+    // a lower case count keeps the debug-build suite quick.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `L2State::from_accounts` builds the state that crediting each pair
+    /// in order on `L2State::new()` builds, whatever order the addresses
+    /// arrive in: `==`, the same serde bytes, and the same incremental and
+    /// naive roots. The loaded state then takes new accounts, a rolled-back
+    /// burst that creates and removes accounts, and a collection, and keeps
+    /// agreeing with its naive root, so the commitment's account index,
+    /// which starts out sharing the loaded table's key pages, splices
+    /// records in and out without disturbing the table.
+    #[test]
+    fn from_accounts_equals_the_credit_loop(
+        kind in 0u8..5,
+        raw in prop::collection::vec((1u64..1 << 40, 0u64..20), 0..2_200),
+        seed in any::<u64>(),
+        later in prop::collection::vec(1u64..1 << 40, 1..8),
+    ) {
+        let pairs = allocation(kind, raw, seed);
+        let mut loaded = L2State::from_accounts(pairs.iter().copied());
+        let mut credited = L2State::new();
+        for &(who, amount) in &pairs {
+            credited.credit(who, amount);
+        }
+        prop_assert!(loaded == credited, "loaded state differs");
+        prop_assert_eq!(
+            serde_json::to_string(&loaded).expect("serialize"),
+            serde_json::to_string(&credited).expect("serialize")
+        );
+        let naive = credited.state_root_naive();
+        prop_assert_eq!(loaded.state_root_naive(), naive);
+        prop_assert_eq!(loaded.state_root(), naive);
+        prop_assert_eq!(credited.state_root(), naive);
+
+        loaded.begin_recording();
+        let cp = loaded.checkpoint();
+        for &a in &later {
+            loaded.credit(Address::from_low_u64(a), Wei::from_wei(a.into()));
+        }
+        prop_assert_eq!(loaded.state_root(), loaded.state_root_naive());
+        loaded.revert_to(cp);
+        prop_assert_eq!(loaded.state_root(), naive);
+        for &a in &later {
+            loaded.credit(Address::from_low_u64(a / 2), Wei::from_wei(1));
+        }
+        let _ = loaded.deploy_collection(CollectionConfig::limited_edition("GN", 4, 10));
+        prop_assert_eq!(loaded.state_root(), loaded.state_root_naive());
     }
 }
