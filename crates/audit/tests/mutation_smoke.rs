@@ -429,7 +429,8 @@ fn stale_commitment_cache_trips_the_root_differential() {
     // A healthy warm cache agrees with the from-scratch rebuild.
     assert_eq!(state.state_root(), state.state_root_naive());
 
-    // Sabotage: overwrite one cached leaf *without* marking it dirty.
+    // Sabotage: overwrite the cached tree node over the first account's
+    // leaf group *without* marking anything dirty.
     assert!(state.corrupt_commit_cache_for_tests());
 
     // The cache now lies; the naive rebuild stays honest, and the
@@ -437,8 +438,8 @@ fn stale_commitment_cache_trips_the_root_differential() {
     let err = diff_execution(&[], state.state_root_naive(), &[], state.state_root()).unwrap_err();
     assert!(matches!(err, Divergence::StateRootMismatch { .. }));
 
-    // A real mutation of the tampered record marks it dirty, so the next
-    // flush re-derives the leaf and repairs the damage.
+    // A real mutation of a record in the tampered group marks it dirty,
+    // so the next flush re-derives the group and repairs the damage.
     state.credit(addr(1), Wei::from_wei(1));
     assert_eq!(state.state_root(), state.state_root_naive());
 }

@@ -18,8 +18,8 @@ fn bench_crypto(c: &mut Criterion) {
         b.iter(|| keccak256(black_box(&payload)))
     });
     // The commitment layer's bulk shapes: a page of account-leaf-sized
-    // preimages, and a 2^16-leaf tree build (both take the lane kernel
-    // where the CPU has AVX-512).
+    // preimages, and a 2^16-leaf tree build at the state tree's derive
+    // depth (both take the lane kernel where the CPU has AVX-512).
     let account_leaves: Vec<[u8; 52]> = (0..1024u32)
         .map(|i| {
             let mut preimage = [0u8; 52];
@@ -30,11 +30,15 @@ fn bench_crypto(c: &mut Criterion) {
     group.bench_function("keccak256_batch_1024x52B", |b| {
         b.iter(|| keccak256_batch(black_box(&account_leaves)))
     });
-    let tree_leaves: Vec<_> = (0..65_536u64)
-        .map(|i| keccak256(&i.to_be_bytes()))
+    let tree_leaves: Vec<[u8; 52]> = (0..65_536u32)
+        .map(|i| {
+            let mut preimage = [0u8; 52];
+            preimage[..4].copy_from_slice(&i.to_be_bytes());
+            preimage
+        })
         .collect();
-    group.bench_function("commit_tree_from_leaves_65536", |b| {
-        b.iter(|| CommitTree::from_leaves(black_box(tree_leaves.iter().copied())).root())
+    group.bench_function("commit_tree_build_65536", |b| {
+        b.iter(|| CommitTree::from_preimages(2, black_box(&tree_leaves)).root())
     });
     let leaves: Vec<_> = (0..256u64).map(|i| keccak256(&i.to_be_bytes())).collect();
     group.bench_function("merkle_256_leaves", |b| {
@@ -76,6 +80,23 @@ fn bench_state_root(c: &mut Criterion) {
     let n = 100_000usize;
     group.bench_with_input(BenchmarkId::new("genesis", n), &n, |b, &n| {
         b.iter(|| black_box(L2State::from_accounts(funded(n))).state_root())
+    });
+    // One flush of 256 accounts at stride n/256: every dirty account sits
+    // alone in its four-leaf group, so each re-derives three clean
+    // neighbours and a level-1 sibling (the shape where a derived bottom
+    // level costs the most; `incremental_dirty64` credits adjacent ones).
+    let mut scattered = L2State::from_accounts(funded(n));
+    let _ = scattered.state_root();
+    group.bench_with_input(BenchmarkId::new("flush_scattered", n), &n, |b, &n| {
+        b.iter(|| {
+            for k in 0..256 {
+                scattered.credit(
+                    Address::from_low_u64((k * (n / 256) + 1) as u64),
+                    Wei::from_wei(1),
+                );
+            }
+            black_box(scattered.state_root())
+        })
     });
     // Full rebuild vs the dirty-tracked incremental flush, and the cost of
     // a fork that writes, across world sizes (10^2..10^5 accounts) and

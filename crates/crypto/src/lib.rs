@@ -9,9 +9,10 @@
 //!   once on CPUs with AVX-512F and AVX-512VL;
 //! - [`MerkleTree`] — binary Merkle trees with inclusion proofs, used for the
 //!   L2 state roots and the aggregators' fraud proofs;
-//! - [`CommitTree`] — the same tree kept resident and repaired in place
-//!   (O(log n) point updates, O(Δ·log n) batches), backing the incremental
-//!   state-root cache in `parole-state`;
+//! - [`CommitTree`] — the same tree kept resident from a chosen derive
+//!   depth up and repaired in place (O(log n) point updates, O(Δ·log n)
+//!   batches, lower levels re-derived from the owner's records), backing
+//!   the incremental state-root cache in `parole-state`;
 //! - [`U256`] — 256-bit unsigned integer arithmetic;
 //! - [`secp256k1`] — the secp256k1 elliptic curve with ECDSA signing and
 //!   verification (deterministic nonces), used to authenticate rollup

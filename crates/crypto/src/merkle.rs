@@ -110,24 +110,27 @@ impl MerkleTree {
     ///
     /// Returns `None` when `index` is out of bounds.
     pub fn prove(&self, index: usize) -> Option<MerkleProof> {
-        prove_levels(&self.levels, index, |level, i| level.get(i).copied())
+        self.levels.first()?.get(index)?;
+        Some(prove_path(index, self.levels.len() - 1, |level, i| {
+            self.levels[level].get(i).copied()
+        }))
     }
 }
 
-/// Builds the sibling path for the leaf at `index` over resident `levels`
-/// (leaf level first, root level last), reading each node in place through
-/// `node(level, i)` (`None` past the level's end). Shared by
+/// Builds the sibling path for the leaf at `index` through the `depth`
+/// levels below the root, reading each node through `node(level, i)`
+/// (`None` past the level's end; level 0 is the leaf level). Shared by
 /// [`MerkleTree::prove`] and [`CommitTree::prove`](crate::CommitTree::prove):
-/// both keep the identical level structure, so one walk serves both.
-pub(crate) fn prove_levels<L>(
-    levels: &[L],
+/// both have the identical level structure, whether a level is stored or
+/// derived, so one walk serves both.
+pub(crate) fn prove_path(
     index: usize,
-    node: impl Fn(&L, usize) -> Option<Hash32>,
-) -> Option<MerkleProof> {
-    node(levels.first()?, index)?;
+    depth: usize,
+    node: impl Fn(usize, usize) -> Option<Hash32>,
+) -> MerkleProof {
     let mut path = Vec::new();
     let mut idx = index;
-    for level in &levels[..levels.len() - 1] {
+    for level in 0..depth {
         let sibling = idx ^ 1;
         if let Some(hash) = node(level, sibling) {
             path.push(ProofNode {
@@ -137,7 +140,7 @@ pub(crate) fn prove_levels<L>(
         }
         idx /= 2;
     }
-    Some(MerkleProof { index, path })
+    MerkleProof { index, path }
 }
 
 /// One step of a Merkle inclusion proof.

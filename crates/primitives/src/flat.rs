@@ -246,7 +246,7 @@ impl<K: FlatKey, V: Clone> FlatMap<K, V> {
 
     fn mark_stale(&mut self) {
         // `&mut self` guarantees exclusivity, so reach the cache without a
-        // lock round-trip (this runs on every insert of a world build).
+        // lock round-trip.
         self.order.get_mut().expect("order cache poisoned").stale = true;
     }
 
@@ -259,19 +259,37 @@ impl<K: FlatKey, V: Clone> FlatMap<K, V> {
         None
     }
 
-    /// Appends a record for a key the caller found absent.
+    /// Appends a record for a key the caller found absent. A key above
+    /// every other extends a fresh order cache in place, so the next sorted
+    /// read needs no rebuild; any other key marks the cache stale. A cache
+    /// still shared (with a clone of the map, or a reader's `Arc`) is
+    /// marked stale too rather than copied, since the map may never read
+    /// its order again.
     fn push_new(&mut self, key: K, val: V) {
         if (self.keys.len() + 1) * 2 > self.index.len() {
             self.grow();
         }
+        let slot = self.keys.len() as u32;
         let mut i = (key.flat_hash() as usize) & self.mask;
         while self.index[i] != EMPTY {
             i = (i + 1) & self.mask;
         }
-        self.index[i] = self.keys.len() as u32;
+        self.index[i] = slot;
+        // `&mut self` guarantees exclusivity, so reach the cache without a
+        // lock round-trip.
+        let order = self.order.get_mut().expect("order cache poisoned");
+        let appends = !order.stale
+            && order.sorted.len() == self.keys.len()
+            && order
+                .sorted
+                .last()
+                .is_none_or(|&last| self.keys[last as usize] < key);
+        match Arc::get_mut(&mut order.sorted) {
+            Some(sorted) if appends => sorted.push(slot),
+            _ => order.stale = true,
+        }
         self.keys.push(key);
         self.vals.push(val);
-        self.mark_stale();
     }
 
     /// The value for `key`, inserting `default()` first if absent, and
@@ -689,6 +707,33 @@ mod tests {
         for k in 0..n {
             assert_eq!(m.get(&k), Some(&(k * 10)));
         }
+    }
+
+    #[test]
+    fn a_key_above_every_other_keeps_the_order_cache_fresh() {
+        let n = 3 * PAGE_LEN as u64 + 5;
+        let stale = |m: &FlatMap<u64, u64>| m.order.lock().unwrap().stale;
+        let mut m: FlatMap<u64, u64> = (0..n).map(|k| (2 * k, k)).collect();
+        m.insert(10 * n, 1);
+        assert!(!stale(&m), "an appended key extends the cache in place");
+        let keys = m.sorted_keys();
+        assert_eq!(keys.shared_pages(&m.keys), (3, 3));
+        let mut want: Vec<u64> = (0..n).map(|k| 2 * k).collect();
+        want.push(10 * n);
+        assert_eq!(keys.to_vec(), want);
+
+        // A key below the largest still owes a rebuild.
+        m.insert(3, 1);
+        assert!(stale(&m));
+        want.insert(2, 3);
+        assert_eq!(m.sorted_keys().to_vec(), want);
+
+        // A cache a clone still shares is marked stale, not copied.
+        let clone = m.clone();
+        m.insert(20 * n, 1);
+        assert!(stale(&m) && !stale(&clone));
+        want.push(20 * n);
+        assert_eq!(m.sorted_keys().to_vec(), want);
     }
 
     #[test]

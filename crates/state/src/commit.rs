@@ -11,9 +11,9 @@
 //!   [`token_preimage`]); its root,
 //!   combined with the supply/config header, forms that collection's leaf in
 //!   the **top-level** tree ([`coll_preimage`]);
-//! - [`CommitCache`] holds the top-level tree, the sorted key vectors mapping
-//!   each account / collection to its leaf position, and one [`CollSub`]
-//!   sub-tree per collection;
+//! - [`CommitCache`] holds the top-level tree and its [`TopKeys`]: the
+//!   sorted key vectors mapping each account / collection to its leaf
+//!   position, and one [`CollSub`] sub-tree per collection;
 //! - [`CommitSlot`] wraps the cache with the **dirty sets**: every mutation
 //!   on `L2State` (credit, debit, nonce bump, mint, transfer, burn, approve,
 //!   deploy, raw `collection_mut` access, and every undo-log rollback) marks
@@ -25,9 +25,19 @@
 //! plus O(log n) sub-tree nodes plus the 122-byte collection header and its
 //! O(log m) top-level path, instead of re-absorbing the entire ownership
 //! list (O(n) hashing) into one flat leaf. Leaf preimages (dirty leaves on
-//! a flush, every account leaf on a build) are piped through
+//! a flush, every leaf on a build) are piped through
 //! [`keccak256_batch`], which digests them eight at a time where the CPU
 //! allows.
+//!
+//! The top-level tree stores only its levels from [`TOP_DEPTH`] up: its
+//! leaves and the level above them are pure functions of records the
+//! account and collection tables already hold, so every flush, splice and
+//! proof re-derives the four-leaf group it needs from those records
+//! ([`TopLeaves`]). At 10⁶ accounts that keeps 0.5 M of the tree's 2 M
+//! hashes resident, for about four more digests per isolated dirty
+//! account. Sub-trees keep every level (derive depth 0, see
+//! [`CollSub::build`]): re-deriving a token leaf takes four record
+//! lookups, and a sub-tree is bounded by its collection's supply.
 //!
 //! Forks share the clean cache copy-on-write: the cache sits behind an
 //! [`Arc`], so `L2State::clone` / `L2State::fork` is O(1) for the
@@ -47,11 +57,15 @@
 
 use crate::tables::{AccountTable, CollTable};
 use crate::AccountState;
-use parole_crypto::{keccak256, keccak256_batch, CommitTree, Hash32, MerkleProof};
+use parole_crypto::{keccak256, CommitTree, Hash32, MerkleProof};
 use parole_nft::Collection;
-use parole_primitives::{Address, BlockNumber, PagedVec, TokenId, Wei, PAGE_LEN};
+use parole_primitives::{Address, BlockNumber, PagedVec, TokenId, Wei};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// Derive depth of the top-level tree: leaves and level 1 are re-derived
+/// from the tables, levels 2 and up stay resident (see the module docs).
+const TOP_DEPTH: u32 = 2;
 
 /// Sticky dirty count: the record is dirty for reasons the journal cannot
 /// account for (mutations journaled before the cache existed, or before the
@@ -228,9 +242,71 @@ pub(crate) fn coll_header_preimage(
     buf
 }
 
-/// One token's current leaf hash.
-fn token_leaf(coll: &Collection, token: TokenId, owner: Address) -> Hash32 {
-    keccak256(&token_preimage_for(coll, token, owner))
+/// The leaf source of a collection's sub-tree: the preimage of the token
+/// at sub-leaf `i`, read from the collection's live state.
+fn token_leaves<'a>(
+    coll: &'a Collection,
+    tokens: &'a [TokenId],
+) -> impl Fn(usize) -> [u8; 90] + 'a {
+    move |i| {
+        let token = tokens[i];
+        let owner = coll
+            .owner_of(token)
+            .expect("every sub-tree token is active");
+        token_preimage_for(coll, token, owner)
+    }
+}
+
+/// The preimage of one top-level leaf.
+enum TopPreimage {
+    Meta([u8; 12]),
+    Acct([u8; 52]),
+    Coll([u8; 122]),
+}
+
+impl AsRef<[u8]> for TopPreimage {
+    fn as_ref(&self) -> &[u8] {
+        match self {
+            TopPreimage::Meta(b) => b,
+            TopPreimage::Acct(b) => b,
+            TopPreimage::Coll(b) => b,
+        }
+    }
+}
+
+/// The leaf source of the top-level tree: leaf 0 is the metadata leaf,
+/// then one leaf per key of `acct_keys`, then one per key of `coll_keys`,
+/// each derived from the live record (and, for a collection, its
+/// sub-tree's root). Built by [`TopKeys::leaves`].
+struct TopLeaves<'a> {
+    accounts: &'a AccountTable,
+    collections: &'a CollTable,
+    block: BlockNumber,
+    keys: &'a TopKeys,
+}
+
+impl TopLeaves<'_> {
+    fn preimage(&self, i: usize) -> TopPreimage {
+        let accts = self.keys.acct_keys.len();
+        if i == 0 {
+            TopPreimage::Meta(meta_preimage(self.block))
+        } else if i <= accts {
+            let who = self.keys.acct_keys[i - 1];
+            let acct = self
+                .accounts
+                .get(&who)
+                .expect("every committed account key is live");
+            TopPreimage::Acct(acct_preimage(who, acct))
+        } else {
+            let j = i - 1 - accts;
+            let addr = self.keys.coll_keys[j];
+            let coll = self
+                .collections
+                .get(&addr)
+                .expect("every committed collection key is live");
+            TopPreimage::Coll(coll_preimage(addr, coll, self.keys.coll_subs[j].root()))
+        }
+    }
 }
 
 /// Leaf-flush accounting for one `CommitCache::apply` pass, feeding the
@@ -239,8 +315,11 @@ fn token_leaf(coll: &Collection, token: TokenId, owner: Address) -> Hash32 {
 struct FlushStats {
     /// Top-level leaves created, destroyed or re-hashed (accounts plus
     /// collection headers) — the quantity `state.leaves_flushed` has always
-    /// measured.
+    /// measured, each record counted once.
     top_leaves: usize,
+    /// Clean top-level leaves re-hashed only because they share a derived
+    /// group with a flushed leaf, or sit after a splice point.
+    derived_leaves: usize,
     /// Collection headers among `top_leaves` (re-derived because their
     /// sub-root or supply moved).
     coll_leaves: usize,
@@ -258,16 +337,14 @@ pub(crate) struct CollSub {
 
 impl CollSub {
     /// Builds a collection's sub-tree from scratch, batching every token
-    /// preimage through one recycled sponge.
+    /// preimage through the tree's build. The tree's derive depth is 0, so
+    /// every level stays resident: [`CollSub::reconcile`] shifts token
+    /// leaves in and out one at a time, which only a tree that stores its
+    /// leaves allows.
     fn build(coll: &Collection) -> CollSub {
         let tokens: Vec<TokenId> = coll.iter().map(|(t, _)| t).collect();
-        let preimages: Vec<[u8; 90]> = coll
-            .iter()
-            .map(|(t, o)| token_preimage_for(coll, t, o))
-            .collect();
-        let leaves = keccak256_batch(&preimages);
         CollSub {
-            tree: CommitTree::from_leaves(leaves),
+            tree: CommitTree::from_preimages(0, (0..tokens.len()).map(token_leaves(coll, &tokens))),
             tokens,
         }
     }
@@ -286,12 +363,15 @@ impl CollSub {
     fn reconcile(&mut self, coll: &Collection, dirty: &BTreeMap<TokenId, u32>) -> usize {
         let mut flushed = 0usize;
         // Structural pass first, so every index the batch below uses is
-        // final.
+        // final. A minted leaf is hashed as it is spliced in.
+        let mut minted = Vec::new();
         for &token in dirty.keys() {
             match (coll.owner_of(token), self.tokens.binary_search(&token)) {
                 (Some(owner), Err(pos)) => {
                     self.tokens.insert(pos, token);
-                    self.tree.insert(pos, token_leaf(coll, token, owner));
+                    self.tree
+                        .insert(pos, token_preimage_for(coll, token, owner));
+                    minted.push(token);
                     flushed += 1;
                 }
                 (None, Ok(pos)) => {
@@ -303,21 +383,15 @@ impl CollSub {
             }
         }
         // Content pass: re-derive every surviving dirty token leaf, hashes
-        // batched through one sponge, paths repaired in one batch.
-        let mut positions = Vec::new();
-        let mut preimages: Vec<[u8; 90]> = Vec::new();
-        for &token in dirty.keys() {
-            if let (Some(owner), Ok(pos)) =
-                (coll.owner_of(token), self.tokens.binary_search(&token))
-            {
-                positions.push(pos);
-                preimages.push(token_preimage_for(coll, token, owner));
-            }
-        }
-        let hashes = keccak256_batch(&preimages);
-        let updates: Vec<(usize, Hash32)> = positions.into_iter().zip(hashes).collect();
-        flushed += updates.len();
-        self.tree.update_batch(&updates);
+        // batched through one call, paths repaired in one batch.
+        let positions: Vec<usize> = dirty
+            .keys()
+            .filter(|token| minted.binary_search(token).is_err())
+            .filter_map(|token| self.tokens.binary_search(token).ok())
+            .collect();
+        flushed += positions.len();
+        self.tree
+            .update(&positions, token_leaves(coll, &self.tokens));
         flushed
     }
 }
@@ -346,14 +420,16 @@ impl CollDirt {
     }
 }
 
-/// A materialized commitment: the resident top-level tree, the per-
-/// collection sub-trees, plus the leaf index maps.
+/// A materialized commitment: the resident top-level tree plus its
+/// [`TopKeys`] (the leaf index maps and the per-collection sub-trees).
 ///
 /// Top-level leaf order matches the naive rebuild exactly: the chain-
 /// metadata leaf (block number) first, then all account leaves in address
 /// order, then all collection leaves in address order. Sub-tree leaf order
 /// is token-id order.
 ///
+/// The top-level tree stores levels [`TOP_DEPTH`] and up; whatever needs a
+/// lower node re-derives its group from the tables through [`TopLeaves`].
 /// The two 10⁶-scale parts, the top-level tree and `acct_keys`, are paged
 /// ([`PagedVec`]), so cloning the cache copies page pointers and a flush on
 /// the clone copies only the pages its dirty paths cross. `acct_keys`
@@ -362,6 +438,15 @@ impl CollDirt {
 #[derive(Debug, Clone)]
 pub(crate) struct CommitCache {
     tree: CommitTree,
+    keys: TopKeys,
+}
+
+/// What maps the top-level tree's leaves to records: the key vectors and
+/// the collection sub-trees whose roots the collection leaves embed. Held
+/// apart from the tree so a leaf source ([`TopKeys::leaves`]) can borrow it
+/// while the tree is repaired.
+#[derive(Debug, Clone)]
+struct TopKeys {
     /// Account addresses in leaf order (sorted); `acct_keys[i]` owns leaf
     /// `1 + i` (leaf 0 is the metadata leaf).
     acct_keys: PagedVec<Address>,
@@ -374,44 +459,107 @@ pub(crate) struct CommitCache {
     coll_subs: Vec<Arc<CollSub>>,
 }
 
+impl TopKeys {
+    /// The top-level leaf source over these keys and the live tables.
+    fn leaves<'a>(
+        &'a self,
+        accounts: &'a AccountTable,
+        collections: &'a CollTable,
+        block: BlockNumber,
+    ) -> TopLeaves<'a> {
+        TopLeaves {
+            accounts,
+            collections,
+            block,
+            keys: self,
+        }
+    }
+
+    /// Brings `acct_keys` in line with the account table for the dirty
+    /// accounts in one merge: keys before the lowest created or destroyed
+    /// one keep their pages, and the rest are written once, however many
+    /// accounts were created or destroyed. Returns that lowest position
+    /// (`None` when no account was created or destroyed), the created keys
+    /// (ascending) and the number of keys destroyed.
+    fn merge_acct_keys(
+        &mut self,
+        accounts: &AccountTable,
+        dirty_accts: &BTreeMap<Address, u32>,
+    ) -> (Option<usize>, Vec<Address>, usize) {
+        let (mut created, mut destroyed, mut first) = (Vec::new(), Vec::new(), None);
+        for &who in dirty_accts.keys() {
+            let pos = match (
+                accounts.contains_key(&who),
+                self.acct_keys.binary_search(&who),
+            ) {
+                (true, Err(pos)) => {
+                    created.push(who);
+                    pos
+                }
+                (false, Ok(pos)) => {
+                    destroyed.push(who);
+                    pos
+                }
+                _ => continue,
+            };
+            // Keys arrive ascending, so the first splice is the lowest.
+            first.get_or_insert(pos);
+        }
+        let Some(first) = first else {
+            return (None, created, 0);
+        };
+        let old = self.acct_keys.clone();
+        self.acct_keys.truncate(first);
+        let mut new_keys = created.iter().copied().peekable();
+        let mut gone = destroyed.iter().peekable();
+        for key in (first..old.len()).map(|i| old[i]) {
+            while let Some(new) = new_keys.next_if(|&new| new < key) {
+                self.acct_keys.push(new);
+            }
+            if gone.next_if_eq(&&key).is_none() {
+                self.acct_keys.push(key);
+            }
+        }
+        self.acct_keys.extend(new_keys);
+        (Some(first), created, destroyed.len())
+    }
+}
+
 impl CommitCache {
     /// Builds the full commitment from scratch (the one unavoidable O(n)
-    /// pass; every later flush is O(dirty · log n)). Account leaves are
-    /// hashed a page at a time as the sorted walk yields them, straight
-    /// into the tree's leaf pages. `acct_keys` shares the account table's
-    /// key pages wherever the table already holds its keys in address order
-    /// (a bulk-loaded genesis holds all of them so), copying only the rest.
+    /// pass; every later flush is O(dirty · log n)). Leaves stream in
+    /// order from the sorted walk into the tree's build, one page per
+    /// batch call, and are reduced to the stored level as they go, so no
+    /// leaf page is held. `acct_keys` shares the account table's key pages
+    /// wherever the table already holds its keys in address order (a
+    /// bulk-loaded genesis holds all of them so), copying only the rest.
     fn build(accounts: &AccountTable, collections: &CollTable, block: BlockNumber) -> Self {
         let mut coll_subs = Vec::with_capacity(collections.len());
         let mut coll_keys = Vec::with_capacity(collections.len());
-        let coll_leaves: Vec<Hash32> = collections
+        let coll_leaves: Vec<TopPreimage> = collections
             .iter_sorted()
             .map(|(&addr, coll)| {
                 let sub = CollSub::build(coll);
-                let leaf = keccak256(&coll_preimage(addr, coll, sub.root()));
+                let leaf = TopPreimage::Coll(coll_preimage(addr, coll, sub.root()));
                 coll_keys.push(addr);
                 coll_subs.push(Arc::new(sub));
                 leaf
             })
             .collect();
-        // One page of account leaves per batch call: the lane kernel gets
-        // full groups, and no transient buffer grows with the world.
-        let mut acct_preimages = accounts
-            .iter_sorted()
-            .map(|(&addr, acct)| acct_preimage(addr, acct));
-        let acct_leaves = std::iter::from_fn(|| {
-            let page = keccak256_batch(acct_preimages.by_ref().take(PAGE_LEN));
-            (!page.is_empty()).then_some(page)
-        })
-        .flatten();
-        let leaves = std::iter::once(keccak256(&meta_preimage(block)))
-            .chain(acct_leaves)
+        let leaves = std::iter::once(TopPreimage::Meta(meta_preimage(block)))
+            .chain(
+                accounts
+                    .iter_sorted()
+                    .map(|(&addr, acct)| TopPreimage::Acct(acct_preimage(addr, acct))),
+            )
             .chain(coll_leaves);
         CommitCache {
-            tree: CommitTree::from_leaves(leaves),
-            acct_keys: accounts.sorted_keys(),
-            coll_keys,
-            coll_subs,
+            tree: CommitTree::from_preimages(TOP_DEPTH, leaves),
+            keys: TopKeys {
+                acct_keys: accounts.sorted_keys(),
+                coll_keys,
+                coll_subs,
+            },
         }
     }
 
@@ -419,16 +567,17 @@ impl CommitCache {
     /// `other` stores at the same address.
     fn shared_pages(&self, other: &CommitCache) -> (usize, usize) {
         let (ts, tt) = self.tree.shared_pages(&other.tree);
-        let (ks, kt) = self.acct_keys.shared_pages(&other.acct_keys);
+        let (ks, kt) = self.keys.acct_keys.shared_pages(&other.keys.acct_keys);
         (ts + ks, tt + kt)
     }
 
     /// Reconciles the trees with the current world for exactly the dirty
-    /// records: created records splice a leaf in, destroyed records splice
-    /// one out, surviving records re-derive their leaf hash — for
-    /// collections, by rebuilding (whole-dirty) or reconciling
-    /// (token-dirty) the sub-tree and re-hashing the 120-byte header — and
-    /// all affected top-level paths repair in one batched pass.
+    /// records. Created and destroyed records are spliced in one pass: the
+    /// key vectors merge once, and the top-level tree re-derives its
+    /// stored nodes once from the lowest changed leaf on. Surviving dirty
+    /// collections first rebuild (whole-dirty) or reconcile (token-dirty)
+    /// their sub-tree; then every surviving dirty leaf before the splice
+    /// point re-derives its group, all groups in one batched pass.
     fn apply(
         &mut self,
         accounts: &AccountTable,
@@ -439,90 +588,91 @@ impl CommitCache {
         dirty_colls: &BTreeMap<Address, CollDirt>,
     ) -> FlushStats {
         let mut stats = FlushStats::default();
-        // Structural pass: create/destroy leaves first so every index used
-        // by the batched update below is final. The metadata leaf at
-        // position 0 is structural never — it exists for every state.
-        for &who in dirty_accts.keys() {
-            match (accounts.get(&who), self.acct_keys.binary_search(&who)) {
-                (Some(acct), Err(pos)) => {
-                    self.acct_keys.insert(pos, who);
-                    self.tree
-                        .insert(1 + pos, keccak256(&acct_preimage(who, acct)));
-                    stats.top_leaves += 1;
-                }
-                (None, Ok(pos)) => {
-                    self.acct_keys.remove(pos);
-                    self.tree.remove(1 + pos);
-                    stats.top_leaves += 1;
-                }
-                _ => {}
-            }
-        }
-        let offset = 1 + self.acct_keys.len();
+        // Structural pass: splice the key vectors first so every index used
+        // below is final. The metadata leaf at position 0 is structural
+        // never — it exists for every state.
+        let keys = &mut self.keys;
+        let (first_acct, created_accts, mut destroyed) =
+            keys.merge_acct_keys(accounts, dirty_accts);
+        let offset = 1 + keys.acct_keys.len();
+        let mut first_coll = None;
+        let mut created_colls = Vec::new();
         for &addr in dirty_colls.keys() {
-            match (collections.get(&addr), self.coll_keys.binary_search(&addr)) {
+            match (collections.get(&addr), keys.coll_keys.binary_search(&addr)) {
                 (Some(coll), Err(pos)) => {
                     let sub = CollSub::build(coll);
                     stats.token_leaves += sub.tokens.len();
-                    let leaf = keccak256(&coll_preimage(addr, coll, sub.root()));
-                    self.coll_keys.insert(pos, addr);
-                    self.coll_subs.insert(pos, Arc::new(sub));
-                    self.tree.insert(offset + pos, leaf);
-                    stats.top_leaves += 1;
+                    stats.coll_leaves += 1;
+                    keys.coll_keys.insert(pos, addr);
+                    keys.coll_subs.insert(pos, Arc::new(sub));
+                    created_colls.push(addr);
+                    first_coll.get_or_insert(pos);
                 }
                 (None, Ok(pos)) => {
-                    self.coll_keys.remove(pos);
-                    self.coll_subs.remove(pos);
-                    self.tree.remove(offset + pos);
-                    stats.top_leaves += 1;
+                    keys.coll_keys.remove(pos);
+                    keys.coll_subs.remove(pos);
+                    destroyed += 1;
+                    first_coll.get_or_insert(pos);
                 }
                 _ => {}
             }
         }
 
-        // Content pass: re-derive every surviving dirty leaf and repair the
-        // top-level tree in one batch (shared ancestor paths hash once). A
-        // record created in the structural pass re-derives here too; its
-        // leaf hash is already final, so the double-hash on the rare
-        // creation path is harmless (deploys are born empty, so the "full
-        // rebuild" of a just-created sub-tree is O(1)).
-        let mut acct_positions = Vec::new();
-        let mut acct_preimages: Vec<[u8; 52]> = Vec::new();
-        for &who in dirty_accts.keys() {
-            if let (Some(acct), Ok(pos)) = (accounts.get(&who), self.acct_keys.binary_search(&who))
-            {
-                acct_positions.push(1 + pos);
-                acct_preimages.push(acct_preimage(who, acct));
-            }
-        }
-        let acct_hashes = keccak256_batch(&acct_preimages);
-        let mut updates: Vec<(usize, Hash32)> =
-            acct_positions.into_iter().zip(acct_hashes).collect();
+        // Content pass: the leaf position of every surviving dirty record,
+        // each collection's sub-tree brought up to date first (its header
+        // leaf embeds the sub-root).
+        let mut dirty = Vec::new();
         if dirty_block {
-            updates.push((0, keccak256(&meta_preimage(block))));
+            dirty.push(0);
+        }
+        for who in dirty_accts.keys() {
+            if created_accts.binary_search(who).is_err() {
+                if let Ok(pos) = keys.acct_keys.binary_search(who) {
+                    dirty.push(1 + pos);
+                }
+            }
         }
         for (&addr, dirt) in dirty_colls {
-            if let (Some(coll), Ok(pos)) =
-                (collections.get(&addr), self.coll_keys.binary_search(&addr))
-            {
-                // Copy-on-write at sub-tree granularity: only the touched
-                // collections' sub-trees detach from a forked parent.
-                let sub = Arc::make_mut(&mut self.coll_subs[pos]);
-                if dirt.whole != 0 {
-                    *sub = CollSub::build(coll);
-                    stats.token_leaves += sub.tokens.len();
-                } else {
-                    stats.token_leaves += sub.reconcile(coll, &dirt.tokens);
-                }
-                updates.push((
-                    offset + pos,
-                    keccak256(&coll_preimage(addr, coll, sub.root())),
-                ));
-                stats.coll_leaves += 1;
+            let (Some(coll), Ok(pos)) =
+                (collections.get(&addr), keys.coll_keys.binary_search(&addr))
+            else {
+                continue;
+            };
+            if created_colls.binary_search(&addr).is_ok() {
+                continue;
             }
+            // Copy-on-write at sub-tree granularity: only the touched
+            // collections' sub-trees detach from a forked parent.
+            let sub = Arc::make_mut(&mut keys.coll_subs[pos]);
+            if dirt.whole != 0 {
+                *sub = CollSub::build(coll);
+                stats.token_leaves += sub.tokens.len();
+            } else {
+                stats.token_leaves += sub.reconcile(coll, &dirt.tokens);
+            }
+            dirty.push(offset + pos);
+            stats.coll_leaves += 1;
         }
-        stats.top_leaves += updates.len();
-        self.tree.update_batch(&updates);
+        let live = dirty.len() + created_accts.len() + created_colls.len();
+        stats.top_leaves = live + destroyed;
+
+        // One suffix pass from the lowest splice, then the groups of the
+        // dirty leaves before it. Each live flushed leaf is hashed exactly
+        // once; every other leaf hashed is a derived neighbour.
+        let len = offset + keys.coll_keys.len();
+        let splice_from = first_acct
+            .map(|pos| 1 + pos)
+            .or(first_coll.map(|pos| offset + pos));
+        let source = self.keys.leaves(accounts, collections, block);
+        let leaf = |i: usize| source.preimage(i);
+        let mut hashed = 0;
+        if let Some(from) = splice_from {
+            hashed += self.tree.splice(from, len, leaf);
+            let derived_from = from >> TOP_DEPTH << TOP_DEPTH;
+            dirty.retain(|&i| i < derived_from);
+        }
+        hashed += self.tree.update(&dirty, leaf);
+        stats.derived_leaves = hashed - live;
         stats
     }
 }
@@ -791,6 +941,7 @@ impl CommitSlot {
                     &self.dirty_colls,
                 );
                 parole_telemetry::observe("state.leaves_flushed", stats.top_leaves as u64);
+                parole_telemetry::observe("state.leaves_derived", stats.derived_leaves as u64);
                 parole_telemetry::observe("state.coll_leaves_flushed", stats.coll_leaves as u64);
                 parole_telemetry::observe("state.token_leaves_flushed", stats.token_leaves as u64);
                 self.dirty_accts.clear();
@@ -833,8 +984,9 @@ impl CommitSlot {
         who: Address,
     ) -> Option<MerkleProof> {
         let cache = self.fresh_cache(accounts, collections, block, journal_len);
-        let pos = cache.acct_keys.binary_search(&who).ok()?;
-        cache.tree.prove(1 + pos)
+        let pos = cache.keys.acct_keys.binary_search(&who).ok()?;
+        let source = cache.keys.leaves(accounts, collections, block);
+        cache.tree.prove(1 + pos, |i| source.preimage(i))
     }
 
     /// Sibling path of `addr`'s collection-header leaf in the top-level
@@ -849,9 +1001,12 @@ impl CommitSlot {
         addr: Address,
     ) -> Option<(Hash32, MerkleProof)> {
         let cache = self.fresh_cache(accounts, collections, block, journal_len);
-        let pos = cache.coll_keys.binary_search(&addr).ok()?;
-        let sub_root = cache.coll_subs[pos].root();
-        let path = cache.tree.prove(1 + cache.acct_keys.len() + pos)?;
+        let pos = cache.keys.coll_keys.binary_search(&addr).ok()?;
+        let sub_root = cache.keys.coll_subs[pos].root();
+        let source = cache.keys.leaves(accounts, collections, block);
+        let path = cache
+            .tree
+            .prove(1 + cache.keys.acct_keys.len() + pos, |i| source.preimage(i))?;
         Some((sub_root, path))
     }
 
@@ -869,11 +1024,17 @@ impl CommitSlot {
         token: TokenId,
     ) -> Option<(MerkleProof, MerkleProof)> {
         let cache = self.fresh_cache(accounts, collections, block, journal_len);
-        let pos = cache.coll_keys.binary_search(&addr).ok()?;
-        let sub = &cache.coll_subs[pos];
+        let pos = cache.keys.coll_keys.binary_search(&addr).ok()?;
+        let sub = &cache.keys.coll_subs[pos];
         let token_pos = sub.tokens.binary_search(&token).ok()?;
-        let token_path = sub.tree.prove(token_pos)?;
-        let header_path = cache.tree.prove(1 + cache.acct_keys.len() + pos)?;
+        let token_path = sub.tree.prove(
+            token_pos,
+            token_leaves(collections.get(&addr)?, &sub.tokens),
+        )?;
+        let source = cache.keys.leaves(accounts, collections, block);
+        let header_path = cache
+            .tree
+            .prove(1 + cache.keys.acct_keys.len() + pos, |i| source.preimage(i))?;
         Some((token_path, header_path))
     }
 
@@ -887,17 +1048,25 @@ impl CommitSlot {
         }
     }
 
-    /// Test-only sabotage: tampers with one cached top-level *record* leaf
-    /// (the first account — index 0 is the metadata leaf, which no record
-    /// mutation would ever repair) *without* marking it dirty, emulating a
-    /// cache whose invalidation hooks missed a mutation. Returns `false`
-    /// when there is no materialized account leaf to corrupt.
+    /// Stored nodes of the materialized top-level tree (0 before the first
+    /// root). Test hook for the resident footprint.
+    pub(crate) fn resident_nodes(&self) -> usize {
+        self.cache.as_ref().map_or(0, |c| c.tree.resident_nodes())
+    }
+
+    /// Test-only sabotage: tampers with the stored top-level node over the
+    /// first account's group (the metadata leaf and the first accounts)
+    /// *without* marking anything dirty, emulating a cache whose
+    /// invalidation hooks missed a mutation. The node heals when any
+    /// record of its group flushes, since that re-derives the group from
+    /// the tables. Returns `false` when there is no materialized account
+    /// leaf.
     pub(crate) fn corrupt_for_tests(&mut self) -> bool {
         match self.cache.as_mut() {
-            Some(shared) if !shared.acct_keys.is_empty() => {
+            Some(shared) if !shared.keys.acct_keys.is_empty() => {
                 Arc::make_mut(shared)
                     .tree
-                    .update(1, keccak256(b"deliberately stale leaf"));
+                    .tamper_node_for_tests(1 >> TOP_DEPTH, keccak256(b"deliberately stale node"));
                 true
             }
             _ => false,
@@ -912,29 +1081,27 @@ impl CommitSlot {
     /// is immediately wrong and only the independent naive rebuild (the
     /// audit differential oracle's reference side) can tell. Returns
     /// `false` when no collection has a materialized token leaf.
-    pub(crate) fn corrupt_subtree_for_tests(&mut self, collections: &CollTable) -> bool {
+    pub(crate) fn corrupt_subtree_for_tests(
+        &mut self,
+        accounts: &AccountTable,
+        collections: &CollTable,
+        block: BlockNumber,
+    ) -> bool {
         let Some(shared) = self.cache.as_mut() else {
             return false;
         };
         let cache = Arc::make_mut(shared);
-        let offset = 1 + cache.acct_keys.len();
-        for pos in 0..cache.coll_subs.len() {
-            let addr = cache.coll_keys[pos];
-            let Some(coll) = collections.get(&addr) else {
-                continue;
-            };
-            let sub = Arc::make_mut(&mut cache.coll_subs[pos]);
-            if sub.tree.is_empty() {
-                continue;
-            }
-            sub.tree
-                .update(0, keccak256(b"deliberately stale token leaf"));
-            cache.tree.update(
-                offset + pos,
-                keccak256(&coll_preimage(addr, coll, sub.root())),
-            );
-            return true;
-        }
-        false
+        let keys = &mut cache.keys;
+        let Some(pos) = keys.coll_subs.iter().position(|sub| !sub.tree.is_empty()) else {
+            return false;
+        };
+        Arc::make_mut(&mut keys.coll_subs[pos])
+            .tree
+            .tamper_node_for_tests(0, keccak256(b"deliberately stale token leaf"));
+        // The header's group re-derives from the tampered sub-root.
+        let header = 1 + keys.acct_keys.len() + pos;
+        let source = cache.keys.leaves(accounts, collections, block);
+        cache.tree.update(&[header], |i| source.preimage(i));
+        true
     }
 }

@@ -25,8 +25,9 @@
 //! Proof generation ([`crate::L2State::prove_account`] /
 //! [`crate::L2State::prove_token`] / [`crate::L2State::prove_collection`])
 //! reads the resident [`CommitTree`](parole_crypto::CommitTree) levels
-//! directly — O(log n) per path, no rebuild. Verification never touches
-//! resident state.
+//! directly and re-derives a top-level path's two bottom siblings from
+//! the leaf's four-leaf group — O(log n) per path, no rebuild.
+//! Verification never touches resident state.
 
 use crate::commit::{acct_preimage, coll_header_preimage, token_preimage, CollectionHeader};
 use crate::journal::RecordKey;

@@ -1251,13 +1251,16 @@ impl L2State {
     }
 
     /// Test-only sabotage hook for the audit mutation-smoke harness: forces
-    /// the commitment cache to materialize, then tampers with one cached
-    /// leaf *without* marking it dirty — emulating an invalidation bug.
-    /// Returns `false` when the state has no leaf to corrupt.
+    /// the commitment cache to materialize, then tampers with the stored
+    /// tree node over the first account's leaf group (the metadata leaf
+    /// and the first accounts) *without* marking anything dirty —
+    /// emulating an invalidation bug. Returns `false` when the state has
+    /// no account to corrupt.
     ///
     /// After this returns `true`, `state_root()` serves a stale root that
     /// [`L2State::state_root_naive`] (and hence the audit differential
-    /// oracle) must flag. Never call outside tests.
+    /// oracle) must flag, until a record of that group flushes. Never call
+    /// outside tests.
     #[doc(hidden)]
     pub fn corrupt_commit_cache_for_tests(&mut self) -> bool {
         let _ = self.state_root();
@@ -1273,8 +1276,11 @@ impl L2State {
     #[doc(hidden)]
     pub fn corrupt_commit_subtree_for_tests(&mut self) -> bool {
         let _ = self.state_root();
-        let collections = &self.collections;
-        Self::slot_mut(&mut self.commit).corrupt_subtree_for_tests(collections)
+        Self::slot_mut(&mut self.commit).corrupt_subtree_for_tests(
+            &self.accounts,
+            &self.collections,
+            self.block,
+        )
     }
 
     /// `(shared, total)`: how many of this state's copy-on-write pages
@@ -1298,6 +1304,14 @@ impl L2State {
         parts
             .iter()
             .fold((0, 0), |(s, t), &(ps, pt)| (s + ps, t + pt))
+    }
+
+    /// Number of top-level commitment-tree nodes this state holds resident
+    /// (0 before its first root): the footprint the tree's derive depth
+    /// bounds. Test hook, not part of the stable API.
+    #[doc(hidden)]
+    pub fn commit_resident_nodes(&self) -> usize {
+        self.commit_slot().resident_nodes()
     }
 
     /// Number of records currently marked dirty in the commitment slot.

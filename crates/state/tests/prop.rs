@@ -377,3 +377,57 @@ proptest! {
         prop_assert_eq!(loaded.state_root(), loaded.state_root_naive());
     }
 }
+
+proptest! {
+    // Each case hashes a few hundred leaves through the scalar naive root
+    // after every flush.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Flushes that create several accounts and collections at scattered
+    /// positions, touch existing ones, and then destroy what they created
+    /// (by rolling the journal back) while creating others in the same
+    /// flush: the key vectors merge once and the top-level tree re-derives
+    /// its suffix once per flush, and the root equals the naive rebuild
+    /// after every one.
+    #[test]
+    fn scattered_splices_in_one_flush_match_naive(
+        base in prop::collection::vec(1u64..1 << 24, 0..400),
+        rounds in prop::collection::vec(
+            (
+                prop::collection::vec(1u64..1 << 24, 0..10),
+                prop::collection::vec(1u64..1 << 24, 0..3),
+                any::<bool>(),
+            ),
+            1..6,
+        ),
+    ) {
+        let a = Address::from_low_u64;
+        let coll = |c: u64| Address::from_low_u64((1 << 40) + c);
+        let mut s = L2State::from_accounts(base.iter().map(|&b| (a(b), Wei::from_wei(b.into()))));
+        let _ = s.deploy_collection_at(coll(1 << 23), CollectionConfig::limited_edition("SC", 4, 10));
+        s.begin_recording();
+        prop_assert_eq!(s.state_root(), s.state_root_naive());
+        for (accounts, collections, undo) in &rounds {
+            let cp = s.checkpoint();
+            for &new in accounts {
+                s.credit(a(new), Wei::from_wei(1));
+                if let Some(&old) = base.get(new as usize % base.len().max(1)) {
+                    s.credit(a(old), Wei::from_wei(3));
+                }
+            }
+            for &c in collections {
+                let _ = s.deploy_collection_at(coll(c), CollectionConfig::limited_edition("SC", 4, 10));
+            }
+            prop_assert_eq!(s.state_root(), s.state_root_naive());
+            if *undo {
+                // One flush that destroys this round's records and creates
+                // others at other positions.
+                s.revert_to(cp);
+                for &new in accounts {
+                    s.credit(a(new / 3 + 1), Wei::from_wei(2));
+                }
+                prop_assert_eq!(s.state_root(), s.state_root_naive());
+            }
+        }
+    }
+}

@@ -65,6 +65,11 @@ fn reverted_window_flushes_zero_leaves() {
         .expect("keccak per root recorded");
     assert!(keccak.max > 0, "flush must pay keccak digests");
     assert!(snap.counter("crypto.keccak256") >= keccak.max as u64);
+    assert_eq!(
+        snap.histogram("state.leaves_derived").unwrap().count,
+        1,
+        "every flush records its derived leaves"
+    );
 
     // Token-granular attribution: a single NFT op in a populated collection
     // flushes exactly one token leaf and one collection header, and the
@@ -96,6 +101,14 @@ fn reverted_window_flushes_zero_leaves() {
         snap.histogram("state.leaves_flushed").unwrap().sum,
         1,
         "the header is the only top-level leaf flushed"
+    );
+    // The top-level tree stores levels 2 and up, so the header's four-leaf
+    // group (leaves 48..52: three accounts and the header) re-derives
+    // around it.
+    assert_eq!(
+        snap.histogram("state.leaves_derived").unwrap().sum,
+        3,
+        "the flush derives the header group's three clean neighbours"
     );
     let keccak = snap.histogram("state.keccak_per_root").unwrap();
     assert!(

@@ -423,6 +423,11 @@ pub const METRICS: &[MetricDescriptor] = &[
         "Keccak-256 digests computed per state_root() call",
     ),
     m(
+        "state.leaves_derived",
+        Histogram,
+        "Clean top-level leaves re-hashed per state-root flush to re-derive a stored node",
+    ),
+    m(
         "state.leaves_flushed",
         Histogram,
         "Top-level leaves created/destroyed/re-hashed per state-root flush",
