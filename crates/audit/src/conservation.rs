@@ -473,9 +473,8 @@ mod tests {
         let receipt = Ovm::new().execute(&mut state, &tx);
         // A corrupt executor that minted a second token behind the receipt.
         state
-            .collection_mut(pt)
+            .nft_mint(pt, addr(2), TokenId::new(1))
             .unwrap()
-            .mint(addr(2), TokenId::new(1))
             .unwrap();
         let err = check_execution(&pre, &state, &tx, &receipt).unwrap_err();
         assert!(matches!(

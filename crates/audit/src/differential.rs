@@ -9,7 +9,7 @@
 //! state and diffs receipts slot by slot plus the final state roots.
 
 use parole_crypto::Hash32;
-use parole_ovm::{NftTransaction, Ovm, ParallelExecutor, PrefixExecutor, Receipt};
+use parole_ovm::{NftTransaction, Ovm, PrefixExecutor, Receipt};
 use parole_state::L2State;
 use std::fmt;
 
@@ -160,53 +160,6 @@ impl DifferentialOracle {
     }
 }
 
-/// Replays blocks through the optimistic-concurrency parallel executor at
-/// several thread counts and diffs every run against a naive serial
-/// execution from the pristine base.
-///
-/// The reference side recomputes its root from scratch
-/// (`state_root_naive`), so neither the OCC scheduler nor the incremental
-/// commitment cache it commits through can vouch for itself: a wrongly
-/// validated speculation, a cheap-commit replay that skips an effect, or a
-/// missed cache invalidation all surface as receipt or root divergences.
-#[derive(Debug)]
-pub struct ParallelOracle {
-    ovm: Ovm,
-    thread_counts: Vec<usize>,
-}
-
-impl ParallelOracle {
-    /// An oracle exercising the scheduler at 1, 2 and 8 worker threads —
-    /// the inline path, the minimal concurrent partition, and an
-    /// oversubscribed pool.
-    pub fn new(ovm: Ovm) -> Self {
-        Self::with_thread_counts(ovm, vec![1, 2, 8])
-    }
-
-    /// An oracle with explicit thread counts to exercise.
-    pub fn with_thread_counts(ovm: Ovm, thread_counts: Vec<usize>) -> Self {
-        ParallelOracle { ovm, thread_counts }
-    }
-
-    /// Executes `txs` serially and at every configured thread count from
-    /// `base`, diffing receipts and state roots.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first divergence between serial and parallel execution.
-    pub fn check_block(&self, base: &L2State, txs: &[NftTransaction]) -> Result<(), Divergence> {
-        let (reference, reference_state) = self.ovm.simulate_sequence(base, txs);
-        let reference_root = reference_state.state_root_naive();
-        for &threads in &self.thread_counts {
-            let mut fork = base.clone();
-            let executor = ParallelExecutor::with_threads(self.ovm.clone(), threads);
-            let (receipts, _stats) = executor.execute_block(&mut fork, txs);
-            diff_execution(&reference, reference_root, &receipts, fork.state_root())?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,37 +221,6 @@ mod tests {
             schedule.push(seq.clone());
         }
         assert_eq!(oracle.check_schedule(&base, &schedule), Ok(()));
-    }
-
-    /// The parallel oracle stays silent on honest OCC execution, including
-    /// the worst case for the scheduler: a conflict-dense window where the
-    /// same sender and token appear in every slot.
-    #[test]
-    fn honest_parallel_execution_passes_the_oracle() {
-        let (base, seq) = window();
-        let oracle = ParallelOracle::new(Ovm::new());
-        assert_eq!(oracle.check_block(&base, &seq), Ok(()));
-        assert_eq!(oracle.check_block(&base, &[]), Ok(()));
-    }
-
-    /// A fabricated parallel result (receipts from a different ordering)
-    /// is rejected by the same diff the oracle runs.
-    #[test]
-    fn reordered_parallel_claims_are_caught() {
-        let (base, mut seq) = window();
-        let ovm = Ovm::new();
-        let (honest, honest_state) = ovm.simulate_sequence(&base, &seq);
-        seq.swap(0, 1);
-        let mut fork = base.clone();
-        let (reordered, _) = ParallelExecutor::with_threads(ovm, 2).execute_block(&mut fork, &seq);
-        let err = diff_execution(
-            &honest,
-            honest_state.state_root_naive(),
-            &reordered,
-            fork.state_root(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, Divergence::ReceiptMismatch { .. }));
     }
 
     #[test]

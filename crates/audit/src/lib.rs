@@ -19,11 +19,9 @@
 //!   paper's Eqs. 1–6 and Eq. 10 checked against any [`parole_state::L2State`]:
 //!   supply cap, unique ownership, owner/balance index consistency, lifetime
 //!   ledger balance, and a monotone scarcity curve.
-//! - [`differential`] — replay oracles diffing the prefix-cached incremental
-//!   executor ([`parole_ovm::PrefixExecutor`]) and the optimistic-concurrency
-//!   parallel block executor ([`parole_ovm::ParallelExecutor`], at several
-//!   thread counts) against naive fresh execution, receipt by receipt and
-//!   state root by state root.
+//! - [`differential`] — the replay oracle diffing the prefix-cached
+//!   incremental executor ([`parole_ovm::PrefixExecutor`]) against naive
+//!   fresh execution, receipt by receipt and state root by state root.
 //! - [`fee`] — an independent EIP-1559 base-fee recomputation used to audit
 //!   the sequencer's fee controller block by block.
 //! - [`replay`] — the event-replay oracle: folding a block's receipt log
@@ -52,7 +50,7 @@ pub use bisection::{BisectionOracle, BisectionViolation, TraceVerdict};
 pub use conservation::{
     check_bond_flow, AuditedOvm, CollectionCounts, ConservationViolation, ExecutionSnapshot,
 };
-pub use differential::{diff_execution, DifferentialOracle, Divergence, ParallelOracle};
+pub use differential::{diff_execution, DifferentialOracle, Divergence};
 pub use fee::{check_fee_update, expected_base_fee, FeeViolation};
 pub use invariants::{
     check_collection, check_facts, check_state, CollectionFacts, InvariantViolation,

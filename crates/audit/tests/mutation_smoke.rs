@@ -642,8 +642,8 @@ fn dropped_slash_remainder_trips_the_bond_flow_auditor() {
 
 /// The defect the event-replay oracle exists to catch: a code path that
 /// mutates token state without emitting the corresponding receipt logs —
-/// here modelled as a direct `collection_mut` transfer applied after block
-/// execution, invisible to every receipt. Replaying the receipt streams
+/// here modelled as a direct `L2State::nft_transfer` applied after block
+/// execution, outside the OVM and so invisible to every receipt. Replaying the receipt streams
 /// over the pre-block maps lands on the pre-tamper owner and the oracle
 /// reports the divergent token; the untampered execution passes.
 #[test]
@@ -680,9 +680,8 @@ fn unjournaled_state_mutation_trips_the_event_replay_oracle() {
 
     // Tamper: move the token behind the receipts' back.
     state
-        .collection_mut(pt)
+        .nft_transfer(pt, addr(1), addr(3), TokenId::new(0))
         .unwrap()
-        .transfer(addr(1), addr(3), TokenId::new(0))
         .unwrap();
     let err = check_event_replay(&pre, &receipts, &state).unwrap_err();
     assert!(
@@ -697,8 +696,9 @@ fn unjournaled_state_mutation_trips_the_event_replay_oracle() {
 // the replayable surface.
 // ---------------------------------------------------------------------------
 
-/// A sequencer that opens a listing without journaling it (direct book write,
-/// no `Listed` receipt log) diverges from the replayed projection; likewise a
+/// A sequencer that opens a listing outside the OVM (a direct
+/// `L2State::nft_list`, so no `Listed` receipt log) diverges from the
+/// replayed projection; likewise a
 /// forged `Sold` royalty payload is internally inconsistent with the bps
 /// stamped at mint even when the final maps would still converge.
 #[test]
@@ -743,9 +743,8 @@ fn unjournaled_listing_and_forged_royalty_trip_the_replay_oracle() {
 
     // Tamper 1: the new owner's listing appears in the book with no event.
     state
-        .collection_mut(pt)
+        .nft_list(pt, addr(2), TokenId::new(0), Wei::from_eth(2))
         .unwrap()
-        .list(addr(2), TokenId::new(0), Wei::from_eth(2))
         .unwrap();
     let err = check_event_replay(&pre, &receipts, &state).unwrap_err();
     assert!(
@@ -754,9 +753,8 @@ fn unjournaled_listing_and_forged_royalty_trip_the_replay_oracle() {
         "got {err}"
     );
     state
-        .collection_mut(pt)
+        .nft_cancel_listing(pt, addr(2), TokenId::new(0))
         .unwrap()
-        .cancel_listing(addr(2), TokenId::new(0))
         .unwrap();
     check_event_replay(&pre, &receipts, &state).expect("tamper undone, block replays again");
 

@@ -327,58 +327,6 @@ fn bench_reorder_env(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_exec(c: &mut Criterion) {
-    use parole_nft::CollectionConfig;
-    use parole_ovm::{NftTransaction, ParallelExecutor, TxKind};
-    use parole_primitives::{Address, TokenId};
-    use parole_state::L2State;
-
-    let mut group = c.benchmark_group("parallel_exec");
-    // Conflict-sparse block: distinct senders, tokens and recipients, so
-    // every speculation validates. Serial `execute_sequence` is the
-    // baseline the OCC scheduler must stay bit-identical to.
-    let n = 256usize;
-    let mut base = L2State::new();
-    let coll = base.deploy_collection(CollectionConfig::limited_edition("PE", 2 * n as u64, 100));
-    let txs: Vec<NftTransaction> = (0..n as u64)
-        .map(|i| {
-            let sender = Address::from_low_u64(1 + i);
-            let recipient = Address::from_low_u64(1_000_000 + i);
-            base.credit(sender, Wei::from_eth(1));
-            base.credit(recipient, Wei::from_eth(10));
-            base.nft_mint(coll, sender, TokenId::new(i))
-                .unwrap()
-                .unwrap();
-            NftTransaction::simple(
-                sender,
-                TxKind::Transfer {
-                    collection: coll,
-                    token: TokenId::new(i),
-                    to: recipient,
-                },
-            )
-        })
-        .collect();
-
-    let ovm = Ovm::new();
-    group.bench_with_input(BenchmarkId::new("serial", n), &n, |b, _| {
-        b.iter(|| {
-            let mut state = base.clone();
-            black_box(ovm.execute_sequence(&mut state, black_box(&txs)))
-        })
-    });
-    for threads in [1usize, 2, 4] {
-        let executor = ParallelExecutor::with_threads(ovm.clone(), threads);
-        group.bench_with_input(BenchmarkId::new("occ", threads), &threads, |b, _| {
-            b.iter(|| {
-                let mut state = base.clone();
-                black_box(executor.execute_block(&mut state, black_box(&txs)))
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_dqn(c: &mut Criterion) {
     let mut group = c.benchmark_group("dqn");
     // The paper-shaped network for a mempool of 50: 400 inputs, C(50,2)
@@ -399,7 +347,7 @@ criterion_group!(
         .sample_size(10)
         .measurement_time(std::time::Duration::from_secs(3))
         .warm_up_time(std::time::Duration::from_secs(1));
-    targets = bench_crypto, bench_ovm, bench_state_root, bench_nft_flush, bench_mempool, bench_calldata, bench_reorder_env, bench_parallel_exec, bench_dqn
+    targets = bench_crypto, bench_ovm, bench_state_root, bench_nft_flush, bench_mempool, bench_calldata, bench_reorder_env, bench_dqn
 );
 // Hand-rolled `criterion_main!`: identical dispatch, plus the telemetry
 // panic hook so an assertion inside a benchmark still dumps the armed

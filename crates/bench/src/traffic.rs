@@ -347,7 +347,7 @@ pub fn build_world(cfg: &TrafficConfig, _backend: StorageBackend) -> L2State {
 mod tests {
     use super::*;
     use parole_crypto::Hash32;
-    use parole_mempool::{BedrockMempool, ExecMode, Sequencer};
+    use parole_mempool::{BedrockMempool, Sequencer};
     use parole_ovm::{EventKind, GasSchedule, LogFilter};
     use parole_primitives::Gas;
 
@@ -383,18 +383,12 @@ mod tests {
     /// `build_world` chain with the backlog pooled, setting each block's
     /// gas limit to its exact demand so every sealed block holds exactly
     /// its scheduled transactions.
-    fn replay(
-        cfg: &TrafficConfig,
-        schedule: &[Vec<NftTransaction>],
-        exec: ExecMode,
-        index_logs: bool,
-    ) -> Replay {
+    fn replay(cfg: &TrafficConfig, schedule: &[Vec<NftTransaction>], index_logs: bool) -> Replay {
         let mut state = build_world(cfg, StorageBackend::Arena);
         // The fee controller targets half this nominal limit (ops cost
         // ~10⁵ gas each); each block's actual limit is its exact demand.
         let nominal = Gas::new(cfg.txs_per_block as u64 * 250_000);
         let mut seq = Sequencer::new(BedrockMempool::new(Wei::from_gwei(1)), nominal)
-            .with_exec_mode(exec)
             .with_log_index(index_logs);
         seq.mempool_mut().submit_all(generate_backlog(cfg));
         let gas_schedule = GasSchedule::paper_calibrated();
@@ -445,25 +439,20 @@ mod tests {
     }
 
     /// The marketplace schedule through the pipeline on the `build_world`
-    /// layout, serially and under OCC: zero reverts, a final root equal to
-    /// the naive rebuild, one heap pop per sealed transaction, no index
-    /// rebuild over the standing backlog, and the same root in both modes.
+    /// layout: zero reverts, a final root equal to the naive rebuild, one
+    /// heap pop per sealed transaction, and no index rebuild over the
+    /// standing backlog.
     #[test]
     fn backends_and_exec_modes_agree_with_zero_reverts() {
         let cfg = tiny();
         let schedule = generate_marketplace_blocks(&cfg);
         let txs: usize = schedule.iter().map(Vec::len).sum();
 
-        let serial = replay(&cfg, &schedule, ExecMode::Serial, false);
-        assert_eq!(serial.reverts, 0, "valid by construction");
-        assert!(serial.root_matches_naive);
-        assert_eq!(serial.heap_pops, txs as u64, "one heap pop per sealed tx");
-        assert_eq!(serial.rebuilds, 0, "fee drift stays inside the window");
-
-        let par = replay(&cfg, &schedule, ExecMode::Parallel { threads: 2 }, false);
-        assert_eq!(par.reverts, 0);
-        assert!(par.root_matches_naive);
-        assert_eq!(par.root, serial.root, "exec-mode-independent root");
+        let run = replay(&cfg, &schedule, false);
+        assert_eq!(run.reverts, 0, "valid by construction");
+        assert!(run.root_matches_naive);
+        assert_eq!(run.heap_pops, txs as u64, "one heap pop per sealed tx");
+        assert_eq!(run.rebuilds, 0, "fee drift stays inside the window");
     }
 
     /// The log-index knob must not change execution: an indexed run lands on
@@ -474,8 +463,8 @@ mod tests {
         let cfg = tiny();
         let schedule = generate_marketplace_blocks(&cfg);
 
-        let plain = replay(&cfg, &schedule, ExecMode::Serial, false);
-        let indexed = replay(&cfg, &schedule, ExecMode::Serial, true);
+        let plain = replay(&cfg, &schedule, false);
+        let indexed = replay(&cfg, &schedule, true);
         assert_eq!(
             indexed.root, plain.root,
             "indexing must not perturb execution"
@@ -498,22 +487,6 @@ mod tests {
             .filter(|tx| matches!(tx.kind.label(), "mint" | "transfer" | "burn"))
             .count();
         assert_eq!(indexed.transfer_hits, moves);
-    }
-
-    /// The marketplace schedule runs with zero reverts and lands on the
-    /// serial root at 1, 2 and 8 OCC threads.
-    #[test]
-    fn marketplace_schedule_runs_clean_and_thread_invariant() {
-        let cfg = tiny();
-        let schedule = generate_marketplace_blocks(&cfg);
-        let serial = replay(&cfg, &schedule, ExecMode::Serial, false);
-        assert_eq!(serial.reverts, 0, "valid by construction");
-        assert!(serial.root_matches_naive);
-        for threads in [1usize, 2, 8] {
-            let par = replay(&cfg, &schedule, ExecMode::Parallel { threads }, false);
-            assert_eq!(par.reverts, 0);
-            assert_eq!(par.root, serial.root, "root diverges at {threads} threads");
-        }
     }
 
     /// The book invariant behind zero-revert marketplace traffic: replay

@@ -21,13 +21,13 @@ fn economy_with_window(n: usize, seed: u64) -> (L2State, Vec<NftTransaction>, Ad
     }
     let ifu = Address::from_low_u64(999);
     state.credit(ifu, Wei::from_eth(30));
-    {
-        let c = state.collection_mut(coll).unwrap();
-        c.mint(ifu, TokenId::new(0)).unwrap();
-        c.mint(ifu, TokenId::new(1)).unwrap();
-        for i in 2..6 {
-            c.mint(users[i as usize % 8], TokenId::new(i)).unwrap();
-        }
+    state.nft_mint(coll, ifu, TokenId::new(0)).unwrap().unwrap();
+    state.nft_mint(coll, ifu, TokenId::new(1)).unwrap().unwrap();
+    for i in 2..6 {
+        state
+            .nft_mint(coll, users[i as usize % 8], TokenId::new(i))
+            .unwrap()
+            .unwrap();
     }
     let mut generator = WorkloadGenerator::new(
         seed,

@@ -55,5 +55,5 @@ mod workload;
 
 pub use fee_market::BaseFeeController;
 pub use pool::{BedrockMempool, PoolOpStats, SharedMempool};
-pub use sequencer::{ExecMode, Screened, ScreeningHook, SealedBlock, Sequencer};
+pub use sequencer::{Screened, ScreeningHook, SealedBlock, Sequencer};
 pub use workload::{WorkloadConfig, WorkloadGenerator, ZipfSampler};

@@ -9,26 +9,10 @@
 //! can be evaluated in its intended position.
 
 use crate::{BaseFeeController, BedrockMempool};
-use parole_ovm::{
-    Bloom, GasSchedule, LogFilter, LogHit, LogIndex, NftTransaction, Ovm, ParallelExecutor, Receipt,
-};
+use parole_ovm::{Bloom, GasSchedule, LogFilter, LogHit, LogIndex, NftTransaction, Ovm, Receipt};
 use parole_primitives::Gas;
 use parole_state::L2State;
 use std::fmt;
-
-/// How [`Sequencer::seal_and_execute`] runs a sealed block's transactions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// One-by-one in sealed order on the calling thread.
-    #[default]
-    Serial,
-    /// The optimistic-concurrency scheduler ([`ParallelExecutor`]); output
-    /// is bit-identical to [`ExecMode::Serial`] at any thread count.
-    Parallel {
-        /// Worker threads (`0` = `PAROLE_THREADS` / machine parallelism).
-        threads: usize,
-    },
-}
 
 /// What a screening hook decides about a prospective block.
 #[derive(Debug, Clone)]
@@ -69,7 +53,6 @@ pub struct Sequencer {
     gas_limit: Gas,
     blocks_sealed: u64,
     ovm: Ovm,
-    exec_mode: ExecMode,
     /// Chain-level log index over executed blocks; `None` when indexing is
     /// off ([`Sequencer::with_log_index`]).
     log_index: Option<LogIndex>,
@@ -100,17 +83,8 @@ impl Sequencer {
             gas_limit,
             blocks_sealed: 0,
             ovm: Ovm::new(),
-            exec_mode: ExecMode::default(),
             log_index: None,
         }
-    }
-
-    /// Sets the execution mode used by [`Sequencer::seal_and_execute`]
-    /// (builder-style). Serial by default.
-    #[must_use]
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec_mode = mode;
-        self
     }
 
     /// Sets the OVM used by [`Sequencer::seal_and_execute`]
@@ -149,11 +123,6 @@ impl Sequencer {
             .as_ref()
             .map(|index| index.query(filter))
             .unwrap_or_default()
-    }
-
-    /// The configured execution mode.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
     }
 
     /// Pending transactions in the underlying mempool.
@@ -265,16 +234,8 @@ impl Sequencer {
         }
     }
 
-    /// Seals one block and executes it against `state` under the configured
-    /// [`ExecMode`], returning the block and its receipts.
-    ///
-    /// The parallel path is order-stable: whatever the worker partition, the
-    /// committed receipts and post-state are bit-identical to serial
-    /// execution of the sealed order. Debug builds re-execute every parallel
-    /// block serially from the same pre-state and assert exactly that; with
-    /// the `audit` feature the block additionally runs through
-    /// `parole_audit::ParallelOracle`, which diffs serial against 1/2/8
-    /// worker threads with an independently recomputed reference root.
+    /// Seals one block and executes it against `state` in sealed order
+    /// ([`Ovm::execute_sequence`]), returning the block and its receipts.
     pub fn seal_and_execute(
         &mut self,
         state: &mut L2State,
@@ -285,42 +246,7 @@ impl Sequencer {
         // before any transaction of this block executes.
         #[cfg(feature = "audit")]
         let pre_maps = parole_audit::replay::snapshot_maps(state);
-        let receipts = match self.exec_mode {
-            ExecMode::Serial => self.ovm.execute_sequence(state, &block.txs),
-            ExecMode::Parallel { threads } => {
-                #[cfg(any(debug_assertions, feature = "audit"))]
-                let pre = state.clone();
-
-                let executor = ParallelExecutor::with_threads(self.ovm.clone(), threads);
-                let (receipts, _stats) = executor.execute_block(state, &block.txs);
-
-                #[cfg(any(debug_assertions, feature = "audit"))]
-                {
-                    let mut serial = pre.clone();
-                    let want = self.ovm.execute_sequence(&mut serial, &block.txs);
-                    assert_eq!(
-                        want, receipts,
-                        "parallel block {} receipts diverged from serial order",
-                        block.number
-                    );
-                    assert_eq!(
-                        serial.state_root(),
-                        state.state_root(),
-                        "parallel block {} post-state diverged from serial order",
-                        block.number
-                    );
-                }
-
-                #[cfg(feature = "audit")]
-                if let Err(violation) = parole_audit::ParallelOracle::new(self.ovm.clone())
-                    .check_block(&pre, &block.txs)
-                {
-                    panic!("sequencer parallel-execution audit failed: {violation}");
-                }
-
-                receipts
-            }
-        };
+        let receipts = self.ovm.execute_sequence(state, &block.txs);
         // Event-replay oracle: folding the block's receipt log stream over
         // the pre-block maps must land exactly on the post-block ownership,
         // approval, operator and curve maps (fail-stop).
@@ -474,32 +400,6 @@ mod tests {
         state
     }
 
-    /// Draining the same mempool contents through the serial and the
-    /// parallel execution mode must produce identical receipts, identical
-    /// block structure and identical post-states. (Debug builds also run
-    /// the built-in serial replay assertion inside `seal_and_execute`.)
-    #[test]
-    fn parallel_mode_drains_identically_to_serial() {
-        let txs: Vec<NftTransaction> = (1..=12).map(|i| tx(i, i % 5)).collect();
-        let base = funded_world();
-
-        let mut serial_state = base.clone();
-        let mut serial_seq = sequencer_with(txs.clone(), 450_000);
-        let mut parallel_state = base.clone();
-        let mut parallel_seq =
-            sequencer_with(txs, 450_000).with_exec_mode(ExecMode::Parallel { threads: 4 });
-
-        while serial_seq.pending() > 0 || parallel_seq.pending() > 0 {
-            let (sb, sr) = serial_seq.seal_and_execute(&mut serial_state, None);
-            let (pb, pr) = parallel_seq.seal_and_execute(&mut parallel_state, None);
-            assert_eq!(sb.txs, pb.txs, "sealed order must not depend on exec mode");
-            assert_eq!(sb.gas_used, pb.gas_used);
-            assert_eq!(sr, pr, "receipts must not depend on exec mode");
-        }
-        assert_eq!(serial_state.state_root(), parallel_state.state_root());
-        assert_eq!(serial_seq.base_fee(), parallel_seq.base_fee());
-    }
-
     /// With log indexing on, sealed blocks carry a bloom folded from their
     /// receipts, the index answers range/collection/address queries, and a
     /// query for an uninvolved address is pruned by blooms alone.
@@ -582,9 +482,9 @@ mod tests {
 
     /// With the `audit` feature on, every executed block also runs the
     /// event-replay oracle: the receipt log stream folded over the pre-block
-    /// maps must reproduce the post-block token maps. A workload mixing all
-    /// five operations (with some reverting) across serial and parallel
-    /// modes must stay silent.
+    /// maps must reproduce the post-block token maps. A workload mixing
+    /// mints, operator approvals and transfers (some reverting) must stay
+    /// silent.
     #[cfg(feature = "audit")]
     #[test]
     fn audited_execution_replays_event_streams() {
@@ -624,15 +524,14 @@ mod tests {
                 ]
             })
             .collect();
-        for mode in [ExecMode::Serial, ExecMode::Parallel { threads: 4 }] {
-            let mut state = funded_world();
-            let mut seq = sequencer_with(mixed.clone(), 600_000).with_exec_mode(mode);
-            let mut executed = 0;
-            while seq.pending() > 0 {
-                let (_, receipts) = seq.seal_and_execute(&mut state, None);
-                executed += receipts.len();
-            }
-            assert_eq!(executed, mixed.len(), "all txs must eventually execute");
+        let submitted = mixed.len();
+        let mut state = funded_world();
+        let mut seq = sequencer_with(mixed, 600_000);
+        let mut executed = 0;
+        while seq.pending() > 0 {
+            let (_, receipts) = seq.seal_and_execute(&mut state, None);
+            executed += receipts.len();
         }
+        assert_eq!(executed, submitted, "all txs must eventually execute");
     }
 }

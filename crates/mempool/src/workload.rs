@@ -358,14 +358,16 @@ mod tests {
         }
         let ifu = Address::from_low_u64(1000);
         state.credit(ifu, Wei::from_eth(20));
-        {
-            let coll = state.collection_mut(coll_addr).unwrap();
-            coll.mint(ifu, TokenId::new(0)).unwrap();
-            coll.mint(ifu, TokenId::new(1)).unwrap();
-            for i in 2..10 {
-                coll.mint(users[(i % users.len() as u64) as usize], TokenId::new(i))
-                    .unwrap();
-            }
+        for i in 0..10u64 {
+            let owner = if i < 2 {
+                ifu
+            } else {
+                users[(i % users.len() as u64) as usize]
+            };
+            state
+                .nft_mint(coll_addr, owner, TokenId::new(i))
+                .unwrap()
+                .unwrap();
         }
         (state, coll_addr, users, ifu)
     }

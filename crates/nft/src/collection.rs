@@ -170,7 +170,7 @@ pub struct OperatorUndo {
 
 impl OperatorUndo {
     /// The owner whose operator set this operation mutated — the
-    /// `(collection, owner)` conflict-domain key the parallel scheduler
+    /// `(collection, owner)` record key the state's touched-record set
     /// derives from the journal entry.
     pub fn owner(&self) -> Address {
         self.owner

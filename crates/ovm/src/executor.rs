@@ -2,12 +2,11 @@
 //!
 //! [`Ovm::execute`] runs each transaction's one [`crate::OpSpec::apply`]
 //! body and builds the receipt's logs from the events that body returns;
-//! the parallel scheduler's clean commit ([`Ovm::apply_validated`]) re-runs
-//! the same body, so no operation has a second implementation here.
+//! [`Ovm::execute_sequence`] runs a block through it in sealed order.
 
 use crate::logs::{Bloom, EventKind, LogEntry};
 use crate::{GasSchedule, NftTransaction, Receipt, RevertReason, TxStatus};
-use parole_primitives::Wei;
+use parole_primitives::{Address, Wei};
 use parole_state::L2State;
 use serde::{Deserialize, Serialize};
 
@@ -95,12 +94,7 @@ impl Ovm {
             Wei::ZERO
         };
 
-        // Header-granular read: the price is a function of remaining supply
-        // only, so this read conflicts with mints/burns of the collection
-        // but not with its transfers/approvals (see `parole_state::RecordKey`).
-        let price_before = state
-            .collection_price(tx.kind.collection())
-            .unwrap_or(Wei::ZERO);
+        let price_before = Self::price_of(state, tx.kind.collection());
 
         let receipt = |status: TxStatus, fee_paid: Wei, price_after: Wei, logs: Vec<LogEntry>| {
             let bloom = Bloom::of_logs(&logs);
@@ -158,7 +152,7 @@ impl Ovm {
             ),
             Err(reason) => (TxStatus::Reverted(reason), Vec::new()),
         };
-        let price_after = state.collection_price(collection).unwrap_or(Wei::ZERO);
+        let price_after = Self::price_of(state, collection);
         // The spec's event declaration is load-bearing (the audit replay
         // oracle and log index trust it), so enforce it at the source: an
         // operation may only emit event kinds its `OpSpec` declares.
@@ -169,6 +163,14 @@ impl Ovm {
             tx.kind.spec().label
         );
         receipt(status, fee, price_after, logs)
+    }
+
+    /// The bonding-curve price of the collection at `collection` (zero when
+    /// nothing is deployed there).
+    fn price_of(state: &L2State, collection: Address) -> Wei {
+        state
+            .collection(collection)
+            .map_or(Wei::ZERO, |c| c.price())
     }
 
     /// Records per-transaction outcome telemetry; called once per
@@ -200,61 +202,6 @@ impl Ovm {
                 _ => {}
             }
         }
-    }
-
-    /// Commits an already-validated speculative execution of `tx` — the
-    /// parallel scheduler's clean-commit path. It skips signature
-    /// verification and receipt hashing, and re-runs the operation's one
-    /// [`crate::OpSpec::apply`] body.
-    ///
-    /// Soundness contract (upheld by `crate::parallel`): `receipt` came
-    /// from executing `tx` against a state in which every record `tx` read
-    /// or wrote held exactly the value it holds in `state` now. Under that
-    /// premise the serial execution of `tx` here retraces the speculative
-    /// run step for step:
-    ///
-    /// - the claimed sender's nonce is consumed (uniform rule, any status);
-    /// - `fee_paid` is burned from the sender (it is zero exactly on the
-    ///   paths where no debit happened);
-    /// - on success, `apply` re-runs with the receipt's `price_before` (the
-    ///   price the payer was charged) and emits exactly the receipt's logs.
-    ///
-    /// # Panics
-    ///
-    /// Panics, naming the transaction hash, if the premise is violated (a
-    /// fee no longer covered, an operation that now reverts or emits other
-    /// events): that is a scheduler bug, not a user error, and must not be
-    /// silently absorbed.
-    pub(crate) fn apply_validated(
-        &self,
-        state: &mut L2State,
-        tx: &NftTransaction,
-        receipt: &Receipt,
-    ) {
-        state.bump_nonce(tx.sender);
-        if receipt.fee_paid > Wei::ZERO {
-            if let Err(e) = state.debit(tx.sender, receipt.fee_paid) {
-                panic!(
-                    "validated speculation of tx {} no longer holds: {e}",
-                    receipt.tx_hash
-                );
-            }
-        }
-        if !receipt.is_success() {
-            return;
-        }
-        let collection = tx.kind.collection();
-        let replayed = (tx.kind.spec().apply)(state, tx, receipt.price_before);
-        assert!(
-            replayed.as_ref().is_ok_and(|events| {
-                let logs = events.iter().map(|&event| LogEntry { collection, event });
-                receipt.logs.iter().copied().eq(logs)
-            }),
-            "validated speculation of tx {} no longer holds: apply returned {replayed:?}, \
-             the speculative receipt logged {:?}",
-            receipt.tx_hash,
-            receipt.logs
-        );
     }
 
     /// Executes a whole sequence in order, committing to `state`.
@@ -290,7 +237,7 @@ mod tests {
     use super::*;
     use crate::TxKind;
     use parole_nft::CollectionConfig;
-    use parole_primitives::{Address, TokenId};
+    use parole_primitives::TokenId;
 
     fn addr(v: u64) -> Address {
         Address::from_low_u64(v)
@@ -303,12 +250,12 @@ mod tests {
         let pt = state.deploy_collection(CollectionConfig::parole_token());
         let ifu = addr(1000);
         state.credit(ifu, Wei::from_milli_eth(1500));
-        let coll = state.collection_mut(pt).unwrap();
-        coll.mint(ifu, TokenId::new(0)).unwrap();
-        coll.mint(ifu, TokenId::new(1)).unwrap();
-        coll.mint(addr(1), TokenId::new(2)).unwrap();
-        coll.mint(addr(2), TokenId::new(3)).unwrap();
-        coll.mint(addr(13), TokenId::new(4)).unwrap();
+        for (owner, token) in [ifu, ifu, addr(1), addr(2), addr(13)].into_iter().zip(0..) {
+            state
+                .nft_mint(pt, owner, TokenId::new(token))
+                .unwrap()
+                .unwrap();
+        }
         (state, pt, ifu)
     }
 

@@ -49,7 +49,6 @@ mod executor;
 mod gas;
 mod logs;
 mod opspec;
-mod parallel;
 mod prefix;
 mod receipt;
 mod tx;
@@ -59,8 +58,7 @@ pub use gas::GasSchedule;
 pub use logs::{
     BlockLogs, Bloom, EventKind, LogEntry, LogFilter, LogHit, LogIndex, ReceiptLogs, BLOOM_BYTES,
 };
-pub use opspec::{LedgerDelta, OpSpec, WriteDomain};
-pub use parallel::{ParallelExecutor, ParallelStats};
+pub use opspec::{LedgerDelta, OpSpec};
 pub use prefix::{PrefixExecutor, PrefixStats};
 pub use receipt::{Receipt, RevertReason, TxStatus};
 pub use tx::{NftTransaction, TxAuth, TxKind};

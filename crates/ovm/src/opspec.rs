@@ -1,15 +1,14 @@
 //! Per-operation descriptors: the single place each [`TxKind`] declares
 //! everything the rest of the stack needs to know about it.
 //!
-//! Before this module existed, five separate `match tx.kind` sites had to
-//! agree about every operation — the display label (`tx.rs`), the gas cost
-//! and limit (`gas.rs`), the execution semantics (`executor.rs`), the event
-//! kinds the logs layer may see, and the OCC conflict footprint
-//! (`parallel.rs`) — plus a sixth in the conservation auditor. Adding an
-//! operation meant editing all of them in lockstep, and nothing asserted
-//! they stayed consistent. [`OpSpec`] collapses that drift surface to one
-//! table: [`TxKind::spec`] is the only exhaustive kind dispatch, and every
-//! former match site consumes the spec.
+//! Before this module existed, separate `match tx.kind` sites had to agree
+//! about every operation — the display label (`tx.rs`), the gas cost and
+//! limit (`gas.rs`), the execution semantics (`executor.rs`) and the event
+//! kinds the logs layer may see — plus another in the conservation auditor.
+//! Adding an operation meant editing all of them in lockstep, and nothing
+//! asserted they stayed consistent. [`OpSpec`] collapses that drift surface
+//! to one table: [`TxKind::spec`] is the only exhaustive kind dispatch, and
+//! every former match site consumes the spec.
 //!
 //! The descriptor carries:
 //!
@@ -19,49 +18,17 @@
 //! - observability: the exact [`EventKind`]s a successful execution may
 //!   emit (a debug assertion in the executor pins emission to the
 //!   declaration);
-//! - conflict footprint: the [`WriteDomain`]s a successful execution
-//!   writes, which the OCC validator resolves into concrete
-//!   [`RecordKey`]s (reads are recorded dynamically during speculation,
-//!   so only the static write side lives here);
 //! - ledger movement: the [`LedgerDelta`] the conservation auditor holds
 //!   the post-state to;
 //! - semantics: the one [`OpSpec::apply`] body — constraint checks, the
-//!   mutation, and the events it emitted as its return value. Serial
-//!   execution runs it, and so does the parallel scheduler's clean commit,
-//!   which re-runs it under its validation premise.
+//!   mutation, and the events it emitted as its return value, which
+//!   [`crate::Ovm::execute`] runs.
 
 use crate::logs::EventKind;
-use crate::{GasSchedule, NftTransaction, Receipt, RevertReason, TxKind};
-use parole_nft::{Erc721Event, NftError, OpEvents};
-use parole_primitives::{Gas, Wei};
-use parole_state::{L2State, RecordKey, StateError};
-use std::collections::BTreeSet;
-
-/// An abstract record a successful operation writes, resolved to concrete
-/// [`RecordKey`]s per transaction by [`success_write_keys`].
-///
-/// The domains mirror the commitment tree's conflict granularity: token
-/// leaf, collection header, account records and operator pairs. Domains
-/// whose concrete address depends on execution output (the seller paid by
-/// a `Buy`) resolve through the receipt's logs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteDomain {
-    /// The operation's token leaf (`RecordKey::Token`).
-    Token,
-    /// The collection header — supply counters moved, repricing the curve
-    /// (`RecordKey::Coll`). Operations without this domain never conflict
-    /// with the header reads every price probe performs.
-    CollHeader,
-    /// The account named as the transfer recipient (`TxKind::recipient`).
-    RecipientAcct,
-    /// The collection creator's account (primary-sale or royalty revenue).
-    CreatorAcct,
-    /// The seller account credited by a sale — known only from the
-    /// receipt's `Sold` log, since the post-state owner is the buyer.
-    SellerFromLog,
-    /// The sender's blanket-operator record (`RecordKey::Oper`).
-    OperatorPair,
-}
+use crate::{GasSchedule, NftTransaction, RevertReason, TxKind};
+use parole_nft::{Collection, Erc721Event, NftError, OpEvents};
+use parole_primitives::{Address, Gas, Wei};
+use parole_state::{L2State, StateError};
 
 /// How a successful operation moves one collection's token-ledger
 /// counters — the lockstep the conservation auditor enforces.
@@ -100,10 +67,6 @@ pub struct OpSpec {
     pub gas_limit: fn(&GasSchedule) -> Gas,
     /// The exact event kinds a successful execution may emit.
     pub events: &'static [EventKind],
-    /// The write domains a successful execution touches (beyond the
-    /// protocol-level sender write every transaction performs for its
-    /// nonce bump and fee debit).
-    pub writes: &'static [WriteDomain],
     /// Token-ledger movement of a successful execution.
     pub ledger: LedgerDelta,
     /// The operation body: full constraint checks against `state`, then
@@ -155,11 +118,6 @@ static MINT: OpSpec = OpSpec {
     gas: |s| s.mint_gas,
     gas_limit: |s| s.mint_limit,
     events: &[EventKind::Transfer, EventKind::PriceChanged],
-    writes: &[
-        WriteDomain::CreatorAcct,
-        WriteDomain::Token,
-        WriteDomain::CollHeader,
-    ],
     ledger: LedgerDelta {
         active: 1,
         mints: 1,
@@ -174,7 +132,6 @@ static TRANSFER: OpSpec = OpSpec {
     gas: |s| s.transfer_gas,
     gas_limit: |s| s.transfer_limit,
     events: &[EventKind::Transfer],
-    writes: &[WriteDomain::RecipientAcct, WriteDomain::Token],
     ledger: LedgerDelta {
         transfers: 1,
         ..LedgerDelta::NONE
@@ -188,7 +145,6 @@ static BURN: OpSpec = OpSpec {
     gas: |s| s.burn_gas,
     gas_limit: |s| s.burn_limit,
     events: &[EventKind::Transfer, EventKind::PriceChanged],
-    writes: &[WriteDomain::Token, WriteDomain::CollHeader],
     ledger: LedgerDelta {
         active: -1,
         burns: 1,
@@ -203,7 +159,6 @@ static APPROVE: OpSpec = OpSpec {
     gas: |s| s.approve_gas,
     gas_limit: |s| s.approve_limit,
     events: &[EventKind::Approval],
-    writes: &[WriteDomain::Token],
     ledger: LedgerDelta::NONE,
     apply: apply_approve,
 };
@@ -214,7 +169,6 @@ static SET_APPROVAL_FOR_ALL: OpSpec = OpSpec {
     gas: |s| s.operator_approval_gas,
     gas_limit: |s| s.operator_approval_limit,
     events: &[EventKind::ApprovalForAll],
-    writes: &[WriteDomain::OperatorPair],
     ledger: LedgerDelta::NONE,
     apply: apply_set_approval_for_all,
 };
@@ -225,7 +179,6 @@ static LIST: OpSpec = OpSpec {
     gas: |s| s.list_gas,
     gas_limit: |s| s.list_limit,
     events: &[EventKind::Listed],
-    writes: &[WriteDomain::Token],
     ledger: LedgerDelta::NONE,
     apply: apply_list,
 };
@@ -236,7 +189,6 @@ static CANCEL_LISTING: OpSpec = OpSpec {
     gas: |s| s.cancel_listing_gas,
     gas_limit: |s| s.cancel_listing_limit,
     events: &[EventKind::ListingCancelled],
-    writes: &[WriteDomain::Token],
     ledger: LedgerDelta::NONE,
     apply: apply_cancel_listing,
 };
@@ -247,11 +199,6 @@ static BUY: OpSpec = OpSpec {
     gas: |s| s.buy_gas,
     gas_limit: |s| s.buy_limit,
     events: &[EventKind::Sold],
-    writes: &[
-        WriteDomain::SellerFromLog,
-        WriteDomain::CreatorAcct,
-        WriteDomain::Token,
-    ],
     ledger: LedgerDelta {
         transfers: 1,
         ..LedgerDelta::NONE
@@ -275,13 +222,12 @@ fn revert_reason(e: NftError) -> RevertReason {
     }
 }
 
-/// A constraint check through the state's granular readers: a missing
-/// collection reverts `NoSuchCollection`, a contract-level failure with its
-/// mapped reason.
-fn check(verdict: Result<Result<(), NftError>, StateError>) -> Result<(), RevertReason> {
-    verdict
-        .map_err(|_| RevertReason::NoSuchCollection)?
-        .map_err(revert_reason)
+/// The collection a transaction targets; a missing one reverts
+/// `NoSuchCollection`.
+fn target(state: &L2State, collection: Address) -> Result<&Collection, RevertReason> {
+    state
+        .collection(collection)
+        .ok_or(RevertReason::NoSuchCollection)
 }
 
 /// The events of a collection mutation whose constraints were just
@@ -292,65 +238,9 @@ fn checked(mutation: Result<Result<OpEvents, NftError>, StateError>) -> OpEvents
         .expect("constraints just checked")
 }
 
-/// Resolves the spec's [`WriteDomain`]s into concrete [`RecordKey`]s for a
-/// *successfully executed* transaction — the static write set the serial
-/// re-execution path feeds the OCC validator (the committed state is not
-/// journaled, so the undo log cannot supply it). A conservative superset
-/// of the actual mutations.
-pub(crate) fn success_write_keys(
-    state: &L2State,
-    tx: &NftTransaction,
-    receipt: &Receipt,
-    writes: &mut BTreeSet<RecordKey>,
-) {
-    let collection = tx.kind.collection();
-    for domain in tx.kind.spec().writes {
-        match domain {
-            WriteDomain::Token => {
-                let token = tx.kind.token().expect("token-scoped write domain");
-                writes.insert(RecordKey::Token(collection, token));
-            }
-            WriteDomain::CollHeader => {
-                writes.insert(RecordKey::Coll(collection));
-            }
-            WriteDomain::RecipientAcct => {
-                let to = tx.kind.recipient().expect("recipient write domain");
-                writes.insert(RecordKey::Acct(to));
-            }
-            WriteDomain::CreatorAcct => {
-                if let Some(creator) = state.collection_creator(collection) {
-                    writes.insert(RecordKey::Acct(creator));
-                }
-            }
-            WriteDomain::SellerFromLog => {
-                for log in &receipt.logs {
-                    if let Erc721Event::Sold { seller, .. } = log.event {
-                        writes.insert(RecordKey::Acct(seller));
-                    }
-                }
-            }
-            WriteDomain::OperatorPair => {
-                writes.insert(RecordKey::Oper(collection, tx.sender));
-            }
-        }
-    }
-}
-
-/// Adds the collection-header key to a *speculative* write set when the
-/// spec says the operation moves the supply counters. The undo log's
-/// per-token entries do not record supply movement, so the journal-derived
-/// write set needs this one static supplement.
-pub(crate) fn speculative_header_write(writes: &mut BTreeSet<RecordKey>, tx: &NftTransaction) {
-    if tx.kind.spec().writes.contains(&WriteDomain::CollHeader) {
-        writes.insert(RecordKey::Coll(tx.kind.collection()));
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Operation bodies (full constraint checks). Reads go through the granular
-// `L2State` helpers so the read set recorded during speculation is exactly
-// token- or header-granular. A missing collection surfaces through the same
-// helpers as `RevertReason::NoSuchCollection`.
+// Operation bodies (full constraint checks against the target collection,
+// then the mutation through the state's journaled `nft_*` entry points).
 
 /// Eq. 1 / Eq. 2: mint — pay `P^{t-1}` to the creator, supply shrinks,
 /// price rises.
@@ -362,11 +252,12 @@ fn apply_mint(
     let TxKind::Mint { collection, token } = tx.kind else {
         unreachable!("mint spec dispatched for {:?}", tx.kind)
     };
-    check(state.nft_can_mint(collection, token))?;
+    let coll = target(state, collection)?;
+    coll.can_mint(token).map_err(revert_reason)?;
+    let creator = coll.config().creator;
     if state.balance_of(tx.sender) < price {
         return Err(RevertReason::InsufficientBalance);
     }
-    let creator = state.collection_creator(collection).expect("checked above");
     state.debit(tx.sender, price).expect("balance just checked");
     state.credit(creator, price);
     Ok(checked(state.nft_mint(collection, tx.sender, token)))
@@ -387,7 +278,9 @@ fn apply_transfer(
     else {
         unreachable!("transfer spec dispatched for {:?}", tx.kind)
     };
-    check(state.nft_can_transfer(collection, tx.sender, to, token))?;
+    target(state, collection)?
+        .can_transfer(tx.sender, to, token)
+        .map_err(revert_reason)?;
     if state.balance_of(to) < price {
         return Err(RevertReason::InsufficientBalance);
     }
@@ -408,12 +301,14 @@ fn apply_burn(
     let TxKind::Burn { collection, token } = tx.kind else {
         unreachable!("burn spec dispatched for {:?}", tx.kind)
     };
-    check(state.nft_can_burn(collection, tx.sender, token))?;
+    target(state, collection)?
+        .can_burn(tx.sender, token)
+        .map_err(revert_reason)?;
     Ok(checked(state.nft_burn(collection, tx.sender, token)))
 }
 
 /// ERC-721 `approve`: per-token operator grant, no payment, no curve
-/// movement. Reads exactly the token's leaf.
+/// movement.
 fn apply_approve(
     state: &mut L2State,
     tx: &NftTransaction,
@@ -427,15 +322,16 @@ fn apply_approve(
     else {
         unreachable!("approve spec dispatched for {:?}", tx.kind)
     };
-    check(state.nft_can_approve(collection, tx.sender, token))?;
+    target(state, collection)?
+        .can_approve(tx.sender, token)
+        .map_err(revert_reason)?;
     Ok(checked(
         state.nft_approve(collection, tx.sender, operator, token),
     ))
 }
 
-/// ERC-721 `setApprovalForAll`: blanket operator grant/revoke. Reads and
-/// writes only the sender's operator record — disjoint from every token
-/// leaf and from the supply counters.
+/// ERC-721 `setApprovalForAll`: blanket operator grant/revoke. Touches
+/// only the sender's operator record, no token and no supply counter.
 fn apply_set_approval_for_all(
     state: &mut L2State,
     tx: &NftTransaction,
@@ -449,15 +345,16 @@ fn apply_set_approval_for_all(
     else {
         unreachable!("sfa spec dispatched for {:?}", tx.kind)
     };
-    check(state.nft_can_set_approval_for_all(collection, tx.sender, operator))?;
+    target(state, collection)?
+        .can_set_approval_for_all(tx.sender, operator)
+        .map_err(revert_reason)?;
     Ok(checked(state.nft_set_approval_for_all(
         collection, tx.sender, operator, approved,
     )))
 }
 
 /// Marketplace `list`: the owner posts the token at an ask price. Writes
-/// only the token's leaf (the listing rides in it), so listings on
-/// disjoint tokens commit clean in parallel.
+/// only the token's leaf (the listing rides in it).
 fn apply_list(
     state: &mut L2State,
     tx: &NftTransaction,
@@ -471,7 +368,9 @@ fn apply_list(
     else {
         unreachable!("list spec dispatched for {:?}", tx.kind)
     };
-    check(state.nft_can_list(collection, tx.sender, token, price))?;
+    target(state, collection)?
+        .can_list(tx.sender, token, price)
+        .map_err(revert_reason)?;
     Ok(checked(state.nft_list(collection, tx.sender, token, price)))
 }
 
@@ -485,7 +384,9 @@ fn apply_cancel_listing(
     let TxKind::CancelListing { collection, token } = tx.kind else {
         unreachable!("cancel-listing spec dispatched for {:?}", tx.kind)
     };
-    check(state.nft_can_cancel_listing(collection, tx.sender, token))?;
+    target(state, collection)?
+        .can_cancel_listing(tx.sender, token)
+        .map_err(revert_reason)?;
     Ok(checked(
         state.nft_cancel_listing(collection, tx.sender, token),
     ))
@@ -503,15 +404,16 @@ fn apply_buy(
     let TxKind::Buy { collection, token } = tx.kind else {
         unreachable!("buy spec dispatched for {:?}", tx.kind)
     };
-    check(state.nft_can_buy(collection, tx.sender, token))?;
-    let ask = state
-        .nft_listing(collection, token)
+    let coll = target(state, collection)?;
+    coll.can_buy(tx.sender, token).map_err(revert_reason)?;
+    let ask = coll
+        .listing_of(token)
         .expect("can_buy checked the listing exists")
         .price;
+    let creator = coll.config().creator;
     if state.balance_of(tx.sender) < ask {
         return Err(RevertReason::InsufficientBalance);
     }
-    let creator = state.collection_creator(collection).expect("checked above");
     let events = checked(state.nft_buy(collection, tx.sender, token));
     let [Erc721Event::Sold {
         seller,
@@ -531,7 +433,7 @@ fn apply_buy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parole_primitives::{Address, TokenId};
+    use parole_primitives::TokenId;
     use std::collections::BTreeSet;
 
     fn addr(v: u64) -> Address {
@@ -613,25 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn write_domains_are_resolvable_per_kind() {
-        // Token and recipient domains require the kind to actually name a
-        // token / recipient — the interpreter `expect`s on that.
-        for kind in sample_kinds() {
-            let spec = kind.spec();
-            if spec.writes.contains(&WriteDomain::Token) {
-                assert!(kind.token().is_some(), "{}: token domain", spec.label);
-            }
-            if spec.writes.contains(&WriteDomain::RecipientAcct) {
-                assert!(
-                    kind.recipient().is_some(),
-                    "{}: recipient domain",
-                    spec.label
-                );
-            }
-        }
-    }
-
-    #[test]
     fn ledger_deltas_conserve_active_supply() {
         for spec in TxKind::ALL_SPECS {
             let d = spec.ledger;
@@ -640,19 +523,6 @@ mod tests {
                 d.active,
                 d.mints as i64 - d.burns as i64,
                 "{}: active drift",
-                spec.label
-            );
-        }
-    }
-
-    #[test]
-    fn only_supply_movers_write_the_header() {
-        for spec in TxKind::ALL_SPECS {
-            let moves_supply = spec.ledger.mints > 0 || spec.ledger.burns > 0;
-            assert_eq!(
-                spec.writes.contains(&WriteDomain::CollHeader),
-                moves_supply,
-                "{}: header write must track supply movement",
                 spec.label
             );
         }
@@ -672,6 +542,5 @@ mod tests {
             token: TokenId::new(0),
         };
         assert_eq!(buy.spec().ledger.transfers, 1);
-        assert!(buy.spec().writes.contains(&WriteDomain::SellerFromLog));
     }
 }

@@ -160,9 +160,11 @@ mod tests {
         for u in 1..=4 {
             state.credit(addr(u), Wei::from_eth(2));
         }
-        let coll = state.collection_mut(pt).unwrap();
         for i in 0..4 {
-            coll.mint(addr(i + 1), TokenId::new(i)).unwrap();
+            state
+                .nft_mint(pt, addr(i + 1), TokenId::new(i))
+                .unwrap()
+                .unwrap();
         }
         let window = vec![
             NftTransaction::simple(

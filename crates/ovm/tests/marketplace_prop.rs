@@ -1,22 +1,21 @@
 //! Marketplace invariants under random interleavings: wei conservation of
 //! the List/Cancel/Buy settlement path and well-formedness of the listing
-//! book, serially and at 1/2/8 OCC threads, with fork/rollback purity.
+//! book, with fork/rollback purity.
 //!
 //! The settlement contract under test (paper §III: secondary sales split
 //! the ask between seller and creator): every successful `Buy` debits the
 //! buyer by exactly the listed ask, credits the seller `ask − royalty` and
 //! the creator `royalty`, where `royalty = ⌊ask · bps / 10⁴⌋` was stamped
 //! on the token at mint. Nothing else about the stream — reverts, stale
-//! listings, repeated relists, speculative OCC rollbacks — may mint or
+//! listings, repeated relists, discarded speculative forks — may mint or
 //! burn wei.
 
 use parole_nft::{CollectionConfig, Erc721Event};
-use parole_ovm::{NftTransaction, Ovm, ParallelExecutor, Receipt, TxKind};
+use parole_ovm::{NftTransaction, Ovm, Receipt, TxKind};
 use parole_primitives::{Address, TokenId, Wei};
 use parole_state::L2State;
 use proptest::prelude::*;
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 const USERS: u64 = 5;
 const TOKENS: u64 = 10;
 
@@ -183,36 +182,6 @@ proptest! {
             "creator balance must equal primary revenue + royalty stream"
         );
         assert_book_well_formed(&state, coll);
-    }
-
-    /// Listing-lifecycle invariants hold bit-identically at every thread
-    /// count: the OCC executor's speculative forks and journal rollbacks
-    /// must leave the same book, balances and royalty flow as serial.
-    #[test]
-    fn listing_lifecycle_is_thread_count_invariant(
-        ops in prop::collection::vec(arb_op(), 1..50),
-    ) {
-        let (base, coll) = world();
-        let txs: Vec<_> = ops.iter().map(|o| to_tx(o, coll)).collect();
-
-        let mut serial = base.clone();
-        let want = Ovm::new().execute_sequence(&mut serial, &txs);
-        let want_book: Vec<_> = serial.collection(coll).unwrap().listings().collect();
-
-        for threads in THREAD_COUNTS {
-            let mut state = base.clone();
-            let (got, _) = ParallelExecutor::with_threads(Ovm::new(), threads)
-                .execute_block(&mut state, &txs);
-            prop_assert_eq!(&got, &want, "receipts diverge at {} threads", threads);
-            prop_assert_eq!(
-                state.state_root(),
-                serial.state_root(),
-                "state root diverges at {} threads", threads
-            );
-            let book: Vec<_> = state.collection(coll).unwrap().listings().collect();
-            prop_assert_eq!(&book, &want_book, "listing book diverges at {} threads", threads);
-            assert_book_well_formed(&state, coll);
-        }
     }
 
     /// Fork purity: simulating any marketplace prefix on a fork leaves the

@@ -9,12 +9,15 @@
 //! that keep per-item work self-contained get bit-identical results at 1, 2
 //! or N threads (the fleet determinism test pins this).
 //!
-//! A crate of its own so lower layers (the OVM's parallel block executor)
-//! can share the pool without depending on the attack core; the attack
-//! core's fleet sweeps and the figure binaries import it directly.
+//! A crate of its own so the attack core's fleet sweeps and the figure
+//! binaries share one pool without the binaries depending on the core for
+//! it. Block execution never uses it: the OVM runs a block in sealed order
+//! on the calling thread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+use std::panic::resume_unwind;
 
 /// Pool size requested through the `PAROLE_THREADS` environment variable.
 ///
@@ -39,7 +42,9 @@ pub fn threads_from_env() -> usize {
 ///
 /// # Panics
 ///
-/// Propagates a panic from `f`.
+/// Propagates a panic from `f` with its own payload, so the caller sees the
+/// worker's message. When several items panic, which payload surfaces
+/// depends on scheduling.
 pub fn parallel_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -79,10 +84,10 @@ where
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
+            .map(|h| h.join().unwrap_or_else(|panic| resume_unwind(panic)))
             .collect()
     })
-    .expect("scope panicked");
+    .unwrap_or_else(|panic| resume_unwind(panic));
 
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     for (i, r) in per_worker.into_iter().flatten() {
@@ -122,6 +127,23 @@ mod tests {
     fn handles_empty_and_singleton_inputs() {
         assert!(parallel_map(Vec::<u8>::new(), 4, |x| x).is_empty());
         assert_eq!(parallel_map(vec![7u8], 4, |x| x + 1), vec![8]);
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller_with_its_own_message() {
+        let caught = std::panic::catch_unwind(|| {
+            parallel_map((0..8u64).collect(), 2, |x| {
+                if x == 3 {
+                    panic!("boom {x}");
+                }
+                x
+            })
+        })
+        .expect_err("the panic must propagate");
+        assert_eq!(
+            caught.downcast_ref::<String>().map(String::as_str),
+            Some("boom 3")
+        );
     }
 
     #[test]

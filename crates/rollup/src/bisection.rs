@@ -373,7 +373,7 @@ pub fn settle_step(
             };
             let mut diverging = Vec::new();
             for key in &touched {
-                let opening = openings.iter().find(|p| keys_match(&p.key(), key));
+                let opening = openings.iter().find(|p| p.key() == *key);
                 let honest = witness.prove_record(key);
                 let agrees = match (opening, &honest) {
                     (Some(d), Some(h)) => {
@@ -398,17 +398,6 @@ pub fn settle_step(
                 diverging,
             }
         }
-    }
-}
-
-/// Whether an opening's key answers a touched-record key. The journal
-/// reports whole-collection mutations as the wildcard
-/// [`RecordKey::CollAll`], which a header opening ([`RecordKey::Coll`])
-/// settles — the header leaf commits the sub-root over every token.
-fn keys_match(opening: &RecordKey, touched: &RecordKey) -> bool {
-    match (opening, touched) {
-        (RecordKey::Coll(a), RecordKey::CollAll(b)) => a == b,
-        (a, b) => a == b,
     }
 }
 

@@ -21,12 +21,15 @@ fn window_for(seed: u64) -> ReorderEnv {
     for u in 1..=4u64 {
         state.credit(Address::from_low_u64(u), Wei::from_eth(5));
     }
-    {
-        let c = state.collection_mut(coll).unwrap();
-        c.mint(ifu, TokenId::new(0)).unwrap();
-        c.mint(Address::from_low_u64(1), TokenId::new(1)).unwrap();
-        c.mint(Address::from_low_u64(2), TokenId::new(2)).unwrap();
-    }
+    state.nft_mint(coll, ifu, TokenId::new(0)).unwrap().unwrap();
+    state
+        .nft_mint(coll, Address::from_low_u64(1), TokenId::new(1))
+        .unwrap()
+        .unwrap();
+    state
+        .nft_mint(coll, Address::from_low_u64(2), TokenId::new(2))
+        .unwrap()
+        .unwrap();
     // Vary the window composition with the seed.
     let burn_actor = 1 + (seed % 2);
     let window = vec![

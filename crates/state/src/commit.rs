@@ -16,7 +16,7 @@
 //!   position, and one [`CollSub`] sub-tree per collection;
 //! - [`CommitSlot`] wraps the cache with the **dirty sets**: every mutation
 //!   on `L2State` (credit, debit, nonce bump, mint, transfer, burn, approve,
-//!   deploy, raw `collection_mut` access, and every undo-log rollback) marks
+//!   list, deploy, and every undo-log rollback) marks
 //!   the touched record — token-granular for the per-token NFT ops — and the
 //!   next `state_root()` re-derives only the dirty leaves.
 //!
@@ -396,8 +396,8 @@ impl CollSub {
     }
 }
 
-/// Per-collection dirt: a whole-collection mutation count (deploy, raw
-/// `collection_mut` access, snapshot rollback), a header-only count
+/// Per-collection dirt: a whole-collection mutation count (a deployment
+/// and its rollback), a header-only count
 /// (blanket operator approvals, which commit through the header leaf but
 /// leave the token sub-tree untouched), plus token-granular counts for the
 /// per-token NFT ops. All levels carry the same mutation-count / [`STICKY`]
@@ -706,8 +706,8 @@ impl CommitCache {
 /// per-token NFT op (mint, transfer, burn, approve) marks only that token's
 /// count inside the collection's [`CollDirt`], its rollback unmarks the
 /// same token, and a speculative window of token ops that fully rolls back
-/// flushes **zero** leaves at both levels. Whole-collection marks (deploy,
-/// raw `collection_mut`, snapshot rollback) keep their own count beside the
+/// flushes **zero** leaves at both levels. Whole-collection marks (a
+/// deployment and its rollback) keep their own count beside the
 /// token counts; a flush rebuilds the sub-tree when the whole-count is hot
 /// and reconciles individual token leaves otherwise.
 #[derive(Debug, Clone, Default)]
@@ -764,9 +764,8 @@ impl CommitSlot {
         self.dirty_block = unwind(self.dirty_block, index < self.hwm);
     }
 
-    /// Marks a whole collection as touched (deployed, arbitrarily mutated
-    /// through `collection_mut`, or snapshot-rolled-back): the next flush
-    /// rebuilds its sub-tree from scratch.
+    /// Marks a whole collection as touched (deployed, or its deployment
+    /// rolled back): the next flush rebuilds its sub-tree from scratch.
     #[inline]
     pub(crate) fn mark_coll(&mut self, addr: Address) {
         if self.cache.is_some() {

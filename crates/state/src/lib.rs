@@ -41,7 +41,7 @@ mod world;
 
 pub use account::AccountState;
 pub use commit::CollectionHeader;
-pub use journal::{key_sets_conflict, Checkpoint, RecordKey};
+pub use journal::{Checkpoint, RecordKey};
 pub use proofs::{
     AccountInclusionProof, CollectionInclusionProof, RecordProof, TokenInclusionProof,
 };

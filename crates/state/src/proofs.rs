@@ -159,13 +159,13 @@ impl TokenInclusionProof {
     }
 }
 
-/// Any record opening, keyed like the conflict domains in [`RecordKey`] —
-/// the unit the single-step settlement exchanges.
+/// Any record opening, keyed by [`RecordKey`] — the unit the single-step
+/// settlement exchanges.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecordProof {
     /// An account opening.
     Account(AccountInclusionProof),
-    /// A collection-header opening (whole-collection keys settle at header
+    /// A collection-header opening (a deployment settles at header
     /// granularity: the header's sub-root commits to every token).
     Collection(CollectionInclusionProof),
     /// A token opening.
@@ -173,7 +173,7 @@ pub enum RecordProof {
 }
 
 impl RecordProof {
-    /// The conflict-domain key this opening speaks for.
+    /// The record key this opening speaks for.
     pub fn key(&self) -> RecordKey {
         match self {
             RecordProof::Account(p) => RecordKey::Acct(p.address),

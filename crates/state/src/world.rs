@@ -5,7 +5,7 @@ use crate::journal::{Journal, JournalEntry, RecordKey};
 use crate::tables::{AccountTable, CollTable};
 use crate::{AccountState, Checkpoint};
 use parole_crypto::{keccak256, Hash32, MerkleTree};
-use parole_nft::{Collection, CollectionConfig, Listing, NftError, OpEvents};
+use parole_nft::{Collection, CollectionConfig, NftError, OpEvents};
 use parole_primitives::{Address, BlockNumber, PrimitiveError, StorageBackend, TokenId, Wei};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -102,18 +102,6 @@ pub struct L2State {
     /// `state_root(&self)` flush lazily.
     #[serde(skip)]
     commit: Mutex<CommitSlot>,
-    /// Whether reads are being recorded into `reads`. A plain field (not
-    /// inside the mutex) so the off state costs readers one branch; only
-    /// `&mut self` methods flip it. Not serialized, not carried by clones.
-    #[serde(skip)]
-    read_tracking: bool,
-    /// Record keys read since tracking began — the parallel scheduler's
-    /// read set. Behind a mutex because readers take `&self` (the state must
-    /// stay `Sync` for the fleet's shared-base parallel sweeps); like the
-    /// journal it is per-state scratch: excluded from serialization,
-    /// equality and clones, and cleared by [`L2State::revert_to`].
-    #[serde(skip)]
-    reads: Mutex<Vec<RecordKey>>,
 }
 
 impl Clone for L2State {
@@ -128,8 +116,6 @@ impl Clone for L2State {
             block: self.block,
             journal: Journal::default(),
             commit: Mutex::new(slot),
-            read_tracking: false,
-            reads: Mutex::new(Vec::new()),
         }
     }
 }
@@ -151,8 +137,6 @@ impl L2State {
             block: BlockNumber::default(),
             journal: Journal::default(),
             commit: Mutex::new(CommitSlot::default()),
-            read_tracking: false,
-            reads: Mutex::new(Vec::new()),
         }
     }
 
@@ -242,72 +226,17 @@ impl L2State {
         self.journal.recording
     }
 
-    /// Switches on read-set recording: every subsequent record read (account
-    /// lookups, collection-header reads, token constraint checks) adds its
-    /// [`RecordKey`] to the read set until [`L2State::end_read_tracking`].
-    ///
-    /// Off by default (readers pay a single predictable branch) and not
-    /// carried across clones. The read set complements the undo log's
-    /// write tracking: together they give the parallel block executor sound
-    /// read/write conflict sets per speculative transaction.
-    pub fn begin_read_tracking(&mut self) {
-        self.read_tracking = true;
-        self.reads
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
-    }
-
-    /// Whether reads are currently recorded.
-    pub fn is_read_tracking(&self) -> bool {
-        self.read_tracking
-    }
-
-    /// Drains and returns the record keys read since tracking began (or
-    /// since the last drain). Tracking stays on.
-    ///
-    /// Reads are recorded append-only (a push per read, no per-read tree
-    /// insertion on the hot path) and deduplicated here, at the single
-    /// point the scheduler consumes them.
-    pub fn take_read_set(&mut self) -> BTreeSet<RecordKey> {
-        self.reads
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner())
-            .drain(..)
-            .collect()
-    }
-
-    /// Switches read recording off and discards the pending read set.
-    pub fn end_read_tracking(&mut self) {
-        self.read_tracking = false;
-        self.reads
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
-    }
-
-    /// Records one read key when tracking is armed.
-    #[inline]
-    fn record_read(&self, key: RecordKey) {
-        if self.read_tracking {
-            self.reads
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(key);
-        }
-    }
-
     /// The record keys *mutated* since `cp`, derived from the undo log —
-    /// the parallel scheduler's write set. Requires recording to have been
-    /// on since before `cp` (otherwise mutations are simply absent).
+    /// the records fraud-proof settlement opens for a disputed step.
+    /// Requires recording to have been on since before `cp` (otherwise
+    /// mutations are simply absent).
     ///
-    /// Per-token operations yield token-granular keys; supply movement from
-    /// mints/burns is not visible in the undo entry itself, so callers that
-    /// need header precision add `RecordKey::Coll` from the operation kind
-    /// (the OVM scheduler does). Raw `collection_mut` snapshots and fresh
-    /// deployments yield the wildcard `CollAll` key, which
-    /// [`crate::key_sets_conflict`] treats as overlapping the header and
-    /// every token of that collection.
+    /// Per-token operations yield token-granular keys, operator approvals
+    /// the owner's operator key, and a deployment the new collection's
+    /// header key ([`RecordKey::Coll`], whose opening commits to every
+    /// token). Supply movement from mints and burns is not visible in the
+    /// undo entry itself, so a mint or burn reports only its token key,
+    /// whose opening carries the collection header.
     ///
     /// # Panics
     ///
@@ -321,9 +250,8 @@ impl L2State {
                     keys.insert(RecordKey::Acct(*who));
                 }
                 JournalEntry::Block { .. } => {}
-                JournalEntry::CollectionDeployed { addr }
-                | JournalEntry::CollectionSnapshot { addr, .. } => {
-                    keys.insert(RecordKey::CollAll(*addr));
+                JournalEntry::CollectionDeployed { addr } => {
+                    keys.insert(RecordKey::Coll(*addr));
                 }
                 JournalEntry::TokenOp { addr, undo } => {
                     keys.insert(RecordKey::Token(*addr, undo.token()));
@@ -399,19 +327,9 @@ impl L2State {
                         .expect("journaled collection exists")
                         .apply_operator_undo(undo);
                 }
-                JournalEntry::CollectionSnapshot { addr, prev } => {
-                    Self::slot_mut(&mut self.commit).unmark_coll(addr, index);
-                    self.collections.insert(addr, *prev);
-                }
             }
         }
         Self::slot_mut(&mut self.commit).journal_truncated(target);
-        // A rollback ends the speculation that produced the pending reads;
-        // a stale read set must not leak into the next speculative run.
-        self.reads
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
     }
 
     /// Commitment-slot access that borrows only the `commit` field, so call
@@ -461,13 +379,11 @@ impl L2State {
 
     /// Spendable balance of `who` (zero for unknown accounts).
     pub fn balance_of(&self, who: Address) -> Wei {
-        self.record_read(RecordKey::Acct(who));
         self.accounts.get(&who).map_or(Wei::ZERO, |a| a.balance)
     }
 
     /// Full account record of `who`, if it exists.
     pub fn account(&self, who: Address) -> Option<&AccountState> {
-        self.record_read(RecordKey::Acct(who));
         self.accounts.get(&who)
     }
 
@@ -566,150 +482,11 @@ impl L2State {
         Ok(())
     }
 
-    /// The collection deployed at `addr`, if any.
-    ///
-    /// While read tracking is armed, this records the *whole-collection*
-    /// key — the returned reference allows arbitrary reads, so anything
-    /// finer would be unsound. Conflict-sensitive callers (the OVM) use the
-    /// granular readers below instead.
+    /// The collection deployed at `addr`, if any. Every mutation goes
+    /// through the journaled `nft_*` entry points below, which mark exactly
+    /// the touched record dirty.
     pub fn collection(&self, addr: Address) -> Option<&Collection> {
-        self.record_read(RecordKey::CollAll(addr));
         self.collections.get(&addr)
-    }
-
-    /// The bonding-curve price of the collection at `addr`, recording a
-    /// header-granular read: the price is a pure function of remaining
-    /// supply, so it conflicts with mints/burns but not with transfers or
-    /// approvals.
-    pub fn collection_price(&self, addr: Address) -> Option<Wei> {
-        self.record_read(RecordKey::Coll(addr));
-        self.collections.get(&addr).map(|c| c.price())
-    }
-
-    /// The creator configured for the collection at `addr`. The config is
-    /// immutable after deployment, but existence of the collection is not —
-    /// a header-granular read is recorded.
-    pub fn collection_creator(&self, addr: Address) -> Option<Address> {
-        self.record_read(RecordKey::Coll(addr));
-        self.collections.get(&addr).map(|c| c.config().creator)
-    }
-
-    /// [`Collection::can_mint`] through the state, recording the reads a
-    /// mint constraint check performs: the collection header (supply for
-    /// the sold-out check) and the minted token's leaf.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateError::NoSuchCollection`] when nothing is deployed at
-    /// `collection`; the inner result carries the contract-level verdict.
-    pub fn nft_can_mint(
-        &self,
-        collection: Address,
-        token: TokenId,
-    ) -> Result<Result<(), NftError>, StateError> {
-        self.record_read(RecordKey::Coll(collection));
-        self.record_read(RecordKey::Token(collection, token));
-        self.collections
-            .get(&collection)
-            .map(|c| c.can_mint(token))
-            .ok_or(StateError::NoSuchCollection(collection))
-    }
-
-    /// [`Collection::can_transfer`] through the state, recording only the
-    /// token's leaf: ownership checks do not read the supply counters.
-    /// Error structure as [`L2State::nft_can_mint`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateError::NoSuchCollection`] when nothing is deployed at
-    /// `collection`.
-    pub fn nft_can_transfer(
-        &self,
-        collection: Address,
-        from: Address,
-        to: Address,
-        token: TokenId,
-    ) -> Result<Result<(), NftError>, StateError> {
-        self.record_read(RecordKey::Token(collection, token));
-        self.collections
-            .get(&collection)
-            .map(|c| c.can_transfer(from, to, token))
-            .ok_or(StateError::NoSuchCollection(collection))
-    }
-
-    /// [`Collection::can_approve`] through the state, recording only the
-    /// token's leaf (ownership gates approval; supply counters are not
-    /// consulted). Error structure as [`L2State::nft_can_mint`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateError::NoSuchCollection`] when nothing is deployed at
-    /// `collection`.
-    pub fn nft_can_approve(
-        &self,
-        collection: Address,
-        owner: Address,
-        token: TokenId,
-    ) -> Result<Result<(), NftError>, StateError> {
-        self.record_read(RecordKey::Token(collection, token));
-        self.collections
-            .get(&collection)
-            .map(|c| c.can_approve(owner, token))
-            .ok_or(StateError::NoSuchCollection(collection))
-    }
-
-    /// [`Collection::can_burn`] through the state, recording only the
-    /// token's leaf. Error structure as [`L2State::nft_can_mint`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateError::NoSuchCollection`] when nothing is deployed at
-    /// `collection`.
-    pub fn nft_can_burn(
-        &self,
-        collection: Address,
-        owner: Address,
-        token: TokenId,
-    ) -> Result<Result<(), NftError>, StateError> {
-        self.record_read(RecordKey::Token(collection, token));
-        self.collections
-            .get(&collection)
-            .map(|c| c.can_burn(owner, token))
-            .ok_or(StateError::NoSuchCollection(collection))
-    }
-
-    /// Mutable access to the collection at `addr`.
-    ///
-    /// While recording, this journals a snapshot of the *entire* collection
-    /// (the caller can mutate arbitrarily through the returned reference).
-    /// Hot paths should prefer [`L2State::nft_mint`] /
-    /// [`L2State::nft_transfer`] / [`L2State::nft_burn`], which journal a
-    /// small per-token undo record instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateError::NoSuchCollection`] when nothing is deployed
-    /// there.
-    pub fn collection_mut(&mut self, addr: Address) -> Result<&mut Collection, StateError> {
-        if self.collections.contains_key(&addr) {
-            // Conservatively dirty: the caller can mutate arbitrarily
-            // through the returned reference.
-            Self::slot_mut(&mut self.commit).mark_coll(addr);
-        }
-        if self.journal.recording {
-            let prev = self
-                .collections
-                .get(&addr)
-                .ok_or(StateError::NoSuchCollection(addr))?
-                .clone();
-            self.journal.entries.push(JournalEntry::CollectionSnapshot {
-                addr,
-                prev: Box::new(prev),
-            });
-        }
-        self.collections
-            .get_mut(&addr)
-            .ok_or(StateError::NoSuchCollection(addr))
     }
 
     /// Runs one collection operation through the state: looks the
@@ -851,115 +628,6 @@ impl L2State {
         self.nft_op(collection, touch, |c| {
             c.set_approval_for_all(owner, operator, approved)
         })
-    }
-
-    /// [`Collection::can_set_approval_for_all`] through the state, recording
-    /// the owner's operator-record read. Error structure as
-    /// [`L2State::nft_can_mint`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateError::NoSuchCollection`] when nothing is deployed at
-    /// `collection`.
-    pub fn nft_can_set_approval_for_all(
-        &self,
-        collection: Address,
-        owner: Address,
-        operator: Address,
-    ) -> Result<Result<(), NftError>, StateError> {
-        self.record_read(RecordKey::Oper(collection, owner));
-        self.collections
-            .get(&collection)
-            .map(|c| c.can_set_approval_for_all(owner, operator))
-            .ok_or(StateError::NoSuchCollection(collection))
-    }
-
-    /// [`Collection::is_approved_for_all`] through the state, recording the
-    /// owner's operator-record read — disjoint from the header, so blanket
-    /// approval checks do not serialize against price reads.
-    pub fn nft_is_approved_for_all(
-        &self,
-        collection: Address,
-        owner: Address,
-        operator: Address,
-    ) -> Option<bool> {
-        self.record_read(RecordKey::Oper(collection, owner));
-        self.collections
-            .get(&collection)
-            .map(|c| c.is_approved_for_all(owner, operator))
-    }
-
-    /// The open listing for `(collection, token)`, recording the token-leaf
-    /// read: the listing lives in the token leaf, so it conflicts with ops
-    /// on that token but not with the header or other tokens.
-    pub fn nft_listing(&self, collection: Address, token: TokenId) -> Option<Listing> {
-        self.record_read(RecordKey::Token(collection, token));
-        self.collections
-            .get(&collection)
-            .and_then(|c| c.listing_of(token))
-    }
-
-    /// [`Collection::can_list`] through the state, recording only the
-    /// token's leaf (ownership and the existing listing both live there).
-    /// Error structure as [`L2State::nft_can_mint`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateError::NoSuchCollection`] when nothing is deployed at
-    /// `collection`.
-    pub fn nft_can_list(
-        &self,
-        collection: Address,
-        seller: Address,
-        token: TokenId,
-        price: Wei,
-    ) -> Result<Result<(), NftError>, StateError> {
-        self.record_read(RecordKey::Token(collection, token));
-        self.collections
-            .get(&collection)
-            .map(|c| c.can_list(seller, token, price))
-            .ok_or(StateError::NoSuchCollection(collection))
-    }
-
-    /// [`Collection::can_cancel_listing`] through the state, recording only
-    /// the token's leaf. Error structure as [`L2State::nft_can_mint`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateError::NoSuchCollection`] when nothing is deployed at
-    /// `collection`.
-    pub fn nft_can_cancel_listing(
-        &self,
-        collection: Address,
-        owner: Address,
-        token: TokenId,
-    ) -> Result<Result<(), NftError>, StateError> {
-        self.record_read(RecordKey::Token(collection, token));
-        self.collections
-            .get(&collection)
-            .map(|c| c.can_cancel_listing(owner, token))
-            .ok_or(StateError::NoSuchCollection(collection))
-    }
-
-    /// [`Collection::can_buy`] through the state, recording only the token's
-    /// leaf (owner, listing and royalty stamp all live there). Error
-    /// structure as [`L2State::nft_can_mint`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateError::NoSuchCollection`] when nothing is deployed at
-    /// `collection`.
-    pub fn nft_can_buy(
-        &self,
-        collection: Address,
-        buyer: Address,
-        token: TokenId,
-    ) -> Result<Result<(), NftError>, StateError> {
-        self.record_read(RecordKey::Token(collection, token));
-        self.collections
-            .get(&collection)
-            .map(|c| c.can_buy(buyer, token))
-            .ok_or(StateError::NoSuchCollection(collection))
     }
 
     /// Lists `token` for sale at `price` ([`Collection::list`]). Journaling,
@@ -1232,16 +900,15 @@ impl L2State {
     }
 
     /// Opens whatever record `key` names against the current state root.
-    /// Whole-collection and operator keys settle at header granularity (the
-    /// header's sub-root commits to every token, and its operator digest to
-    /// every blanket approval, of the collection). `None` when the record
+    /// Operator keys settle at header granularity (the header's operator
+    /// digest commits to every blanket approval of the collection). `None` when the record
     /// does not exist in this state — absence has no inclusion proof; the
     /// settlement protocol treats a missing opening as a divergence in
     /// itself.
     pub fn prove_record(&self, key: &RecordKey) -> Option<crate::RecordProof> {
         match *key {
             RecordKey::Acct(who) => self.prove_account(who).map(crate::RecordProof::Account),
-            RecordKey::Coll(addr) | RecordKey::CollAll(addr) | RecordKey::Oper(addr, _) => self
+            RecordKey::Coll(addr) | RecordKey::Oper(addr, _) => self
                 .prove_collection(addr)
                 .map(crate::RecordProof::Collection),
             RecordKey::Token(addr, token) => {
@@ -1396,9 +1063,9 @@ mod tests {
         let mut s = L2State::new();
         let pt = s.deploy_collection(CollectionConfig::parole_token());
         assert!(s.collection(pt).is_some());
-        assert!(s.collection_mut(pt).is_ok());
+        assert!(s.collection(addr(99)).is_none());
         assert!(matches!(
-            s.collection_mut(addr(99)),
+            s.nft_mint(addr(99), addr(1), TokenId::new(0)),
             Err(StateError::NoSuchCollection(_))
         ));
         // Explicit redeploy at the same address fails.
@@ -1413,10 +1080,9 @@ mod tests {
         let mut s = L2State::new();
         let pt = s.deploy_collection(CollectionConfig::parole_token());
         s.credit(addr(1), Wei::from_milli_eth(1500));
-        let coll = s.collection_mut(pt).unwrap();
         for i in 0..5 {
             let owner = if i < 2 { addr(1) } else { addr(9) };
-            coll.mint(owner, TokenId::new(i)).unwrap();
+            s.nft_mint(pt, owner, TokenId::new(i)).unwrap().unwrap();
         }
         // Case-study setup: 1.5 ETH + 2 PT at 0.4 = 2.3 ETH.
         assert_eq!(s.total_balance_of(addr(1)), Wei::from_milli_eth(2300));
@@ -1427,18 +1093,12 @@ mod tests {
         let mut a = L2State::new();
         a.credit(addr(1), Wei::from_eth(1));
         let pt = a.deploy_collection(CollectionConfig::parole_token());
-        a.collection_mut(pt)
-            .unwrap()
-            .mint(addr(1), TokenId::new(0))
-            .unwrap();
+        a.nft_mint(pt, addr(1), TokenId::new(0)).unwrap().unwrap();
 
         let mut b = L2State::new();
         b.credit(addr(1), Wei::from_eth(1));
         let pt_b = b.deploy_collection(CollectionConfig::parole_token());
-        b.collection_mut(pt_b)
-            .unwrap()
-            .mint(addr(1), TokenId::new(0))
-            .unwrap();
+        b.nft_mint(pt_b, addr(1), TokenId::new(0)).unwrap().unwrap();
 
         assert_eq!(a.state_root(), b.state_root());
 
@@ -1451,14 +1111,10 @@ mod tests {
     fn state_root_tracks_nft_ownership() {
         let mut s = L2State::new();
         let pt = s.deploy_collection(CollectionConfig::parole_token());
-        s.collection_mut(pt)
-            .unwrap()
-            .mint(addr(1), TokenId::new(0))
-            .unwrap();
+        s.nft_mint(pt, addr(1), TokenId::new(0)).unwrap().unwrap();
         let before = s.state_root();
-        s.collection_mut(pt)
+        s.nft_transfer(pt, addr(1), addr(2), TokenId::new(0))
             .unwrap()
-            .transfer(addr(1), addr(2), TokenId::new(0))
             .unwrap();
         assert_ne!(s.state_root(), before);
     }
@@ -1516,11 +1172,8 @@ mod tests {
         s.credit(addr(1), Wei::from_eth(5));
         s.credit(addr(2), Wei::from_eth(1));
         let pt = s.deploy_collection(CollectionConfig::parole_token());
-        {
-            let coll = s.collection_mut(pt).unwrap();
-            coll.mint(addr(1), TokenId::new(0)).unwrap();
-            coll.mint(addr(2), TokenId::new(1)).unwrap();
-        }
+        s.nft_mint(pt, addr(1), TokenId::new(0)).unwrap().unwrap();
+        s.nft_mint(pt, addr(2), TokenId::new(1)).unwrap().unwrap();
         s.begin_recording();
         (s, pt)
     }
@@ -1571,19 +1224,6 @@ mod tests {
     }
 
     #[test]
-    fn collection_mut_snapshot_fallback_reverts() {
-        let (mut s, pt) = journaled_fixture();
-        let baseline = s.clone();
-        let cp = s.checkpoint();
-        s.collection_mut(pt)
-            .unwrap()
-            .approve(addr(1), addr(9), TokenId::new(0))
-            .unwrap();
-        s.revert_to(cp);
-        assert_eq!(s, baseline);
-    }
-
-    #[test]
     fn clone_does_not_inherit_recording() {
         let (s, _) = journaled_fixture();
         assert!(s.is_recording());
@@ -1594,68 +1234,34 @@ mod tests {
     }
 
     #[test]
-    fn read_tracking_records_granular_keys() {
+    fn touched_since_tracks_writes_and_revert_clears_them() {
         let (mut s, pt) = journaled_fixture();
-        s.begin_read_tracking();
-
-        assert!(s.take_read_set().is_empty());
-        let _ = s.balance_of(addr(1));
-        let _ = s.collection_price(pt);
-        let _ = s.nft_can_transfer(pt, addr(1), addr(2), TokenId::new(0));
-        let reads = s.take_read_set();
-        assert_eq!(
-            reads.into_iter().collect::<Vec<_>>(),
-            vec![
-                RecordKey::Acct(addr(1)),
-                RecordKey::Coll(pt),
-                RecordKey::Token(pt, TokenId::new(0)),
-            ]
-        );
-
-        // can_mint reads both the header (supply) and the token leaf.
-        let _ = s.nft_can_mint(pt, TokenId::new(7));
-        let reads = s.take_read_set();
-        assert!(reads.contains(&RecordKey::Coll(pt)));
-        assert!(reads.contains(&RecordKey::Token(pt, TokenId::new(7))));
-
-        // After end_read_tracking: no recording.
-        s.end_read_tracking();
-        let _ = s.balance_of(addr(1));
-        assert!(s.take_read_set().is_empty());
-    }
-
-    #[test]
-    fn revert_clears_pending_reads_and_touched_tracks_writes() {
-        let (mut s, pt) = journaled_fixture();
-        s.begin_read_tracking();
         let cp = s.checkpoint();
 
         s.credit(addr(5), Wei::from_eth(1));
         s.nft_transfer(pt, addr(1), addr(2), TokenId::new(0))
             .unwrap()
             .unwrap();
+        s.nft_set_approval_for_all(pt, addr(2), addr(9), true)
+            .unwrap()
+            .unwrap();
+        let fresh = s.deploy_collection(CollectionConfig::limited_edition("T", 4, 100));
+        // Reads, and operations that fail their constraints, touch nothing.
         let _ = s.balance_of(addr(9));
+        assert!(s.nft_burn(pt, addr(1), TokenId::new(1)).unwrap().is_err());
         let writes = s.touched_since(cp);
         assert_eq!(
             writes.into_iter().collect::<Vec<_>>(),
             vec![
                 RecordKey::Acct(addr(5)),
+                RecordKey::Coll(fresh),
                 RecordKey::Token(pt, TokenId::new(0)),
+                RecordKey::Oper(pt, addr(2)),
             ]
         );
 
         s.revert_to(cp);
-        assert!(
-            s.take_read_set().is_empty(),
-            "revert discards pending reads"
-        );
         assert!(s.touched_since(cp).is_empty());
-
-        // Clones never inherit tracking.
-        s.begin_read_tracking();
-        let _ = s.balance_of(addr(1));
-        let fork = s.clone();
-        assert!(!fork.is_read_tracking());
     }
 
     #[test]

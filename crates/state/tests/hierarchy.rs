@@ -51,20 +51,6 @@ fn approval_flips_the_state_root() {
 }
 
 #[test]
-fn approve_via_collection_mut_also_flips_the_root() {
-    // The raw-access path must stay sound too: `collection_mut` marks the
-    // whole collection dirty, so an approval through it reaches the root.
-    let (mut s, pt) = fixture();
-    let before = s.state_root();
-    s.collection_mut(pt)
-        .unwrap()
-        .approve(addr(1), addr(7), TokenId::new(1))
-        .unwrap();
-    assert_ne!(s.state_root(), before);
-    assert_eq!(s.state_root(), s.state_root_naive());
-}
-
-#[test]
 fn approval_revert_restores_root_and_cleans_dirt() {
     let (mut s, pt) = fixture();
     s.begin_recording();
@@ -99,9 +85,10 @@ fn token_ops_mark_one_record_however_many_tokens_move() {
 }
 
 #[test]
-fn mixed_token_and_snapshot_rollbacks_agree_with_naive() {
-    // Interleave the per-token undo path with the whole-collection snapshot
-    // path across a flush boundary; both dirty levels must reconcile.
+fn mixed_token_and_deploy_rollbacks_agree_with_naive() {
+    // Interleave the per-token undo path with a deployment's
+    // whole-collection mark across a flush boundary; both dirty levels
+    // must reconcile, in the existing collection and in the new one.
     let (mut s, pt) = fixture();
     s.begin_recording();
     let _ = s.state_root();
@@ -110,11 +97,14 @@ fn mixed_token_and_snapshot_rollbacks_agree_with_naive() {
     s.nft_transfer(pt, addr(0), addr(4), TokenId::new(0))
         .unwrap()
         .unwrap();
-    s.collection_mut(pt)
+    let fresh = s.deploy_collection(CollectionConfig::limited_edition("M", 8, 100));
+    s.nft_mint(fresh, addr(5), TokenId::new(3))
         .unwrap()
-        .mint(addr(5), TokenId::new(8))
         .unwrap();
-    let _ = s.state_root(); // flush mid-journal: hwm moves past both entries
+    let _ = s.state_root(); // flush mid-journal: hwm moves past every entry
+    s.nft_mint(fresh, addr(6), TokenId::new(4))
+        .unwrap()
+        .unwrap();
     s.nft_approve(pt, addr(4), addr(6), TokenId::new(0))
         .unwrap()
         .unwrap();
@@ -124,11 +114,7 @@ fn mixed_token_and_snapshot_rollbacks_agree_with_naive() {
         s.collection(pt).unwrap().owner_of(TokenId::new(0)),
         Some(addr(0))
     );
-    assert!(s
-        .collection(pt)
-        .unwrap()
-        .owner_of(TokenId::new(8))
-        .is_none());
+    assert!(s.collection(fresh).is_none());
 }
 
 #[test]

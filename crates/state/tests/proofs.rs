@@ -92,7 +92,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Every record the world holds opens against the bare root, and the
-    /// opening speaks for the right conflict-domain key.
+    /// opening speaks for the right record key.
     #[test]
     fn honest_openings_verify(plan in world_plan()) {
         let (state, pt, active) = build(&plan);

@@ -21,17 +21,15 @@ enum Op {
         to: u64,
         amount: u64,
     },
-    Mint {
-        user: u64,
-        token: u64,
-    },
-    Burn {
+    // A fresh collection with one token minted into it: a whole-collection
+    // dirty mark (and, under a rollback, its cancellation) beside a token
+    // mark in the same collection.
+    Deploy {
         user: u64,
         token: u64,
     },
     // Per-token journaled paths: these exercise the hierarchical cache's
-    // token-granular dirty marks (the `collection_mut`-based Mint/Burn above
-    // exercise the whole-collection snapshot path).
+    // token-granular dirty marks.
     TokenMint {
         user: u64,
         token: u64,
@@ -62,8 +60,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
             to,
             amount
         }),
-        (1u64..6, 0u64..8).prop_map(|(user, token)| Op::Mint { user, token }),
-        (1u64..6, 0u64..8).prop_map(|(user, token)| Op::Burn { user, token }),
+        (1u64..6, 0u64..4).prop_map(|(user, token)| Op::Deploy { user, token }),
         (1u64..6, 0u64..8).prop_map(|(user, token)| Op::TokenMint { user, token }),
         (1u64..6, 1u64..6, 0u64..8).prop_map(|(from, to, token)| Op::TokenTransfer {
             from,
@@ -89,17 +86,9 @@ fn apply(state: &mut L2State, coll: Address, op: &Op) {
         Op::Transfer { from, to, amount } => {
             let _ = state.transfer_balance(a(from), a(to), Wei::from_milli_eth(amount));
         }
-        Op::Mint { user, token } => {
-            let _ = state.collection_mut(coll).and_then(|c| {
-                c.mint(a(user), TokenId::new(token))
-                    .map_err(|_| parole_state::StateError::NoSuchCollection(coll))
-            });
-        }
-        Op::Burn { user, token } => {
-            let _ = state.collection_mut(coll).and_then(|c| {
-                c.burn(a(user), TokenId::new(token))
-                    .map_err(|_| parole_state::StateError::NoSuchCollection(coll))
-            });
+        Op::Deploy { user, token } => {
+            let fresh = state.deploy_collection(CollectionConfig::limited_edition("D", 4, 100));
+            let _ = state.nft_mint(fresh, a(user), TokenId::new(token));
         }
         Op::TokenMint { user, token } => {
             let _ = state.nft_mint(coll, a(user), TokenId::new(token));

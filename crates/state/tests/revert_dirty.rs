@@ -18,10 +18,7 @@ fn fixture() -> (L2State, Address) {
     }
     let pt = s.deploy_collection(CollectionConfig::parole_token());
     for i in 0..5 {
-        s.collection_mut(pt)
-            .unwrap()
-            .mint(addr(i), TokenId::new(i))
-            .unwrap();
+        s.nft_mint(pt, addr(i), TokenId::new(i)).unwrap().unwrap();
     }
     s.begin_recording();
     let _ = s.state_root(); // materialize the commitment cache

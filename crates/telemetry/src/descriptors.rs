@@ -293,41 +293,6 @@ pub const METRICS: &[MetricDescriptor] = &[
         "Transactions that reverted during OVM execution",
     ),
     m(
-        "parallel.blocks",
-        Counter,
-        "Blocks run through the optimistic-concurrency executor",
-    ),
-    m(
-        "parallel.commit_wave_width",
-        Histogram,
-        "Consecutive clean commits between scheduler aborts",
-    ),
-    m(
-        "parallel.conflicts",
-        Counter,
-        "Speculations invalidated by an earlier transaction's writes",
-    ),
-    m(
-        "parallel.execute_block",
-        Span,
-        "One optimistic-concurrency block execution end to end",
-    ),
-    m(
-        "parallel.reexecutions",
-        Counter,
-        "Conflicted transactions re-executed serially at commit time",
-    ),
-    m(
-        "parallel.speculations",
-        Counter,
-        "Speculative transaction executions against the block base",
-    ),
-    m(
-        "parallel.txs_committed_clean",
-        Counter,
-        "Speculations that validated and committed without re-execution",
-    ),
-    m(
         "rollup.audit_trips",
         Counter,
         "Runtime-audit violations raised while processing batches",

@@ -24,13 +24,13 @@ fn economy() -> (L2State, Address, Vec<Address>, Address) {
     }
     let ifu = addr(5_000);
     state.credit(ifu, Wei::from_eth(30));
-    {
-        let c = state.collection_mut(coll).unwrap();
-        c.mint(ifu, TokenId::new(0)).unwrap();
-        c.mint(ifu, TokenId::new(1)).unwrap();
-        for i in 2..8 {
-            c.mint(users[i as usize % 10], TokenId::new(i)).unwrap();
-        }
+    state.nft_mint(coll, ifu, TokenId::new(0)).unwrap().unwrap();
+    state.nft_mint(coll, ifu, TokenId::new(1)).unwrap().unwrap();
+    for i in 2..8 {
+        state
+            .nft_mint(coll, users[i as usize % 10], TokenId::new(i))
+            .unwrap()
+            .unwrap();
     }
     (state, coll, users, ifu)
 }
@@ -114,16 +114,17 @@ fn attack_works_across_multiple_collections() {
     state.credit(ifu, Wei::from_eth(10));
     state.credit(addr(1), Wei::from_eth(10));
     state.credit(addr(2), Wei::from_eth(10));
-    {
-        let a = state.collection_mut(coll_a).unwrap();
-        a.mint(ifu, TokenId::new(0)).unwrap();
-        a.mint(addr(1), TokenId::new(1)).unwrap();
-        a.mint(addr(2), TokenId::new(2)).unwrap();
-    }
-    {
-        let b = state.collection_mut(coll_b).unwrap();
-        b.mint(ifu, TokenId::new(0)).unwrap();
-        b.mint(addr(2), TokenId::new(1)).unwrap();
+    for (coll, owner, token) in [
+        (coll_a, ifu, 0),
+        (coll_a, addr(1), 1),
+        (coll_a, addr(2), 2),
+        (coll_b, ifu, 0),
+        (coll_b, addr(2), 1),
+    ] {
+        state
+            .nft_mint(coll, owner, TokenId::new(token))
+            .unwrap()
+            .unwrap();
     }
 
     let window = vec![
