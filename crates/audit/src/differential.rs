@@ -108,23 +108,12 @@ pub fn diff_execution(
 #[derive(Debug)]
 pub struct DifferentialOracle {
     ovm: Ovm,
-    stride: usize,
 }
 
 impl DifferentialOracle {
-    /// An oracle executing with `ovm`, using checkpoint `stride` for the
-    /// incremental side.
-    pub fn new(ovm: Ovm, stride: usize) -> Self {
-        DifferentialOracle { ovm, stride }
-    }
-
-    /// Runs one sequence both ways from `base` and diffs the outcomes.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first divergence between incremental and naive execution.
-    pub fn check_sequence(&self, base: &L2State, seq: &[NftTransaction]) -> Result<(), Divergence> {
-        self.check_schedule(base, std::slice::from_ref(&seq.to_vec()))
+    /// An oracle executing both sides with `ovm`.
+    pub fn new(ovm: Ovm) -> Self {
+        DifferentialOracle { ovm }
     }
 
     /// Runs a whole schedule of candidate orderings through *one*
@@ -139,7 +128,7 @@ impl DifferentialOracle {
         base: &L2State,
         orders: &[Vec<NftTransaction>],
     ) -> Result<(), Divergence> {
-        let mut incremental = PrefixExecutor::new(self.ovm.clone(), base, self.stride);
+        let mut incremental = PrefixExecutor::new(self.ovm.clone(), base);
         for seq in orders {
             let (naive_receipts, naive_state) = self.ovm.simulate_sequence(base, seq);
             let (receipts, state) = incremental.execute(seq);
@@ -214,7 +203,7 @@ mod tests {
     #[test]
     fn honest_incremental_execution_matches_across_swaps() {
         let (base, mut seq) = window();
-        let oracle = DifferentialOracle::new(Ovm::new(), 2);
+        let oracle = DifferentialOracle::new(Ovm::new());
         let mut schedule = vec![seq.clone()];
         for &(i, j) in &[(0usize, 3usize), (1, 2), (0, 1), (2, 3)] {
             seq.swap(i, j);

@@ -103,7 +103,6 @@ proptest! {
     fn honest_incremental_execution_passes_the_differential_oracle(
         ops in prop::collection::vec(arb_op(5, 10), 2..20),
         swaps in prop::collection::vec((0usize..20, 0usize..20), 1..8),
-        stride in 1usize..4,
     ) {
         let (base, coll) = world();
         let mut seq: Vec<NftTransaction> = ops.iter().map(|o| to_tx(o, coll)).collect();
@@ -113,7 +112,7 @@ proptest! {
             seq.swap(i % len, j % len);
             schedule.push(seq.clone());
         }
-        let oracle = DifferentialOracle::new(Ovm::new(), stride);
+        let oracle = DifferentialOracle::new(Ovm::new());
         prop_assert_eq!(oracle.check_schedule(&base, &schedule), Ok(()));
     }
 

@@ -392,7 +392,7 @@ fn stale_incremental_cache_trips_the_differential_oracle() {
     assert!(matches!(err, Divergence::ReceiptMismatch { .. }));
 
     // The real PrefixExecutor survives the same schedule under the oracle.
-    let oracle = DifferentialOracle::new(ovm, 2);
+    let oracle = DifferentialOracle::new(ovm);
     let mut schedule = vec![seq.clone()];
     for &(i, j) in &[(0usize, 3usize), (1, 2), (0, 2), (2, 3), (0, 1)] {
         seq.swap(i, j);

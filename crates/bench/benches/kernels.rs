@@ -5,7 +5,7 @@
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use parole_bench::economy::Economy;
 use parole_crypto::{keccak256, keccak256_batch, CommitTree, MerkleTree};
-use parole_drl::Mlp;
+use parole_drl::{BatchScratch, Mlp};
 use parole_mempool::BedrockMempool;
 use parole_ovm::Ovm;
 use parole_primitives::Wei;
@@ -289,40 +289,31 @@ fn bench_calldata(c: &mut Criterion) {
 }
 
 fn bench_reorder_env(c: &mut Criterion) {
-    use parole::{ActionSpace, EvalConfig, ReorderEnv, RewardConfig};
+    use parole::{ReorderEnv, RewardConfig};
     use parole_drl::Environment;
 
     let mut group = c.benchmark_group("reorder_env");
     // The GENTRANSEQ training hot loop is step() — swap two positions,
-    // re-evaluate the window. Naive evaluation clones the world and replays
-    // all N slots; the prefix-cached path replays only the diverged suffix
-    // and never copies state the window doesn't touch — hence the rich
-    // background state.
+    // re-evaluate the window. The prefix-cached evaluator replays only the
+    // diverged suffix and never copies state the window doesn't touch —
+    // hence the rich background state.
     for n in [10usize, 20] {
         let economy = Economy::build(n, 1, 1).with_background(10_000, 16);
-        let window = economy.window(n, 1);
-        for (label, eval) in [
-            ("step_naive", EvalConfig::naive()),
-            ("step_cached", EvalConfig::default()),
-        ] {
-            let mut env = ReorderEnv::with_eval_config(
-                economy.state.clone(),
-                window.clone(),
-                economy.ifus.clone(),
-                RewardConfig::default(),
-                ActionSpace::AllPairs,
-                eval,
-            );
-            env.reset();
-            let actions = env.action_count();
-            let mut a = 0usize;
-            group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-                b.iter(|| {
-                    a = (a + 7) % actions;
-                    black_box(env.step(a))
-                })
-            });
-        }
+        let mut env = ReorderEnv::new(
+            economy.state.clone(),
+            economy.window(n, 1),
+            economy.ifus.clone(),
+            RewardConfig::default(),
+        );
+        env.reset();
+        let actions = env.action_count();
+        let mut a = 0usize;
+        group.bench_with_input(BenchmarkId::new("step_cached", n), &n, |b, _| {
+            b.iter(|| {
+                a = (a + 7) % actions;
+                black_box(env.step(a))
+            })
+        });
     }
     group.finish();
 }
@@ -331,12 +322,18 @@ fn bench_dqn(c: &mut Criterion) {
     let mut group = c.benchmark_group("dqn");
     // The paper-shaped network for a mempool of 50: 400 inputs, C(50,2)
     // outputs.
-    let mut net = Mlp::new(&[400, 128, 128, 1225], 1);
+    let net = Mlp::new(&[400, 128, 128, 1225], 1);
     let obs = vec![0.3f64; 400];
     group.bench_function("forward_n50", |b| b.iter(|| net.forward(black_box(&obs))));
     let target = net.forward(&obs);
+    // One sample's training pass: the forward that keeps the activations,
+    // then the backward over them.
+    let mut scratch = BatchScratch::default();
     group.bench_function("backward_n50", |b| {
-        b.iter(|| net.backward(black_box(&obs), black_box(&target)))
+        b.iter(|| {
+            net.forward_batch(black_box(&obs), 1, &mut scratch);
+            net.backward_batch(black_box(&target), 1, &scratch)
+        })
     });
     group.finish();
 }

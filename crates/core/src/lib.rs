@@ -50,6 +50,6 @@ mod strategy;
 pub use assess::{assess, ArbitrageAssessment};
 pub use encode::{pair_count, pair_from_index, pair_to_index, FEATURES_PER_TX};
 pub use gentranseq::{GentranseqModule, GentranseqOutcome};
-pub use mdp::{ActionSpace, EvalConfig, ReorderEnv, RewardConfig};
+pub use mdp::{ActionSpace, ReorderEnv, RewardConfig};
 pub use module::ParoleModule;
 pub use strategy::ParoleStrategy;

@@ -64,40 +64,6 @@ impl Default for RewardConfig {
     }
 }
 
-/// How candidate orderings are executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EvalConfig {
-    /// Evaluate through a [`PrefixExecutor`]: keep one journaled working
-    /// state and replay only the suffix that diverged from the previous
-    /// candidate, instead of cloning the base state and replaying the whole
-    /// window. Results are bit-identical either way (pinned by the
-    /// equivalence proptests); the naive path exists as the oracle and for
-    /// those tests.
-    pub prefix_cached: bool,
-    /// Journal-checkpoint stride of the prefix executor (in slots); ignored
-    /// on the naive path. 1 checkpoints every slot.
-    pub checkpoint_stride: usize,
-}
-
-impl Default for EvalConfig {
-    fn default() -> Self {
-        EvalConfig {
-            prefix_cached: true,
-            checkpoint_stride: 1,
-        }
-    }
-}
-
-impl EvalConfig {
-    /// Full re-execution per candidate — the pre-optimization behavior.
-    pub fn naive() -> Self {
-        EvalConfig {
-            prefix_cached: false,
-            checkpoint_stride: 1,
-        }
-    }
-}
-
 /// Evaluation artifacts for one candidate ordering.
 #[derive(Debug, Clone)]
 struct Evaluation {
@@ -118,8 +84,10 @@ pub struct ReorderEnv {
     ifus: Vec<Address>,
     reward: RewardConfig,
     action_space: ActionSpace,
-    /// Incremental executor for the hot path (`None` on the naive path).
-    prefix: Option<PrefixExecutor>,
+    /// Evaluates candidates by replaying only the suffix that diverged from
+    /// the previous one (bit-identical to `Ovm::simulate_sequence`, pinned
+    /// by the equivalence proptests).
+    prefix: PrefixExecutor,
     /// Reusable buffer for materializing `current` as a transaction
     /// sequence, so evaluation does not allocate a fresh `Vec` per
     /// candidate.
@@ -182,31 +150,6 @@ impl ReorderEnv {
         reward: RewardConfig,
         action_space: ActionSpace,
     ) -> Self {
-        ReorderEnv::with_eval_config(
-            state,
-            window,
-            ifus,
-            reward,
-            action_space,
-            EvalConfig::default(),
-        )
-    }
-
-    /// Like [`ReorderEnv::with_action_space`] with an explicit
-    /// [`EvalConfig`] — primarily for the equivalence tests and benchmarks
-    /// that pit the prefix-cached evaluator against the naive one.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the window is empty.
-    pub fn with_eval_config(
-        state: L2State,
-        window: Vec<NftTransaction>,
-        ifus: Vec<Address>,
-        reward: RewardConfig,
-        action_space: ActionSpace,
-        eval_config: EvalConfig,
-    ) -> Self {
         assert!(!window.is_empty(), "cannot re-order an empty window");
         let ovm = Ovm::new();
         let collection = window[0].kind.collection();
@@ -215,9 +158,7 @@ impl ReorderEnv {
             .map(|c| (c.config().max_supply, c.remaining_supply()))
             .unwrap_or((1, 1));
 
-        let prefix = eval_config
-            .prefix_cached
-            .then(|| PrefixExecutor::new(ovm.clone(), &state, eval_config.checkpoint_stride));
+        let prefix = PrefixExecutor::new(ovm.clone(), &state);
 
         let identity: Vec<usize> = (0..window.len()).collect();
         let mut env = ReorderEnv {
@@ -297,12 +238,8 @@ impl ReorderEnv {
     }
 
     /// Evaluates the current permutation: executes it speculatively and
-    /// reports the IFUs' final combined total balance.
-    ///
-    /// On the prefix-cached path only the suffix diverging from the
-    /// previously evaluated candidate is replayed; the naive path re-executes
-    /// the whole window on a fresh state clone. Both produce identical
-    /// artifacts.
+    /// reports the IFUs' final combined total balance. Only the suffix
+    /// diverging from the previously evaluated candidate is replayed.
     fn evaluate_current(&mut self) -> Evaluation {
         let _span = parole_telemetry::span("mdp.evaluate");
         parole_telemetry::counter("mdp.evaluations", 1);
@@ -311,36 +248,28 @@ impl ReorderEnv {
             self.scratch_seq.push(self.original[i]);
         }
 
-        let (receipts, final_balance) = if let Some(exec) = self.prefix.as_mut() {
-            let (receipts, post) = exec.execute(&self.scratch_seq);
-            // Differential oracle: the incremental result must be bit-identical
-            // to a naive replay of the whole window from the pristine base.
-            #[cfg(feature = "audit")]
-            {
-                let (naive_receipts, naive_post) = self
-                    .ovm
-                    .simulate_sequence(&self.base_state, &self.scratch_seq);
-                // The naive side rebuilds its root from scratch so the
-                // oracle cross-checks the incremental commitment cache
-                // rather than comparing the cache against itself.
-                if let Err(divergence) = parole_audit::differential::diff_execution(
-                    &naive_receipts,
-                    naive_post.state_root_naive(),
-                    receipts,
-                    post.state_root(),
-                ) {
-                    panic!("prefix-cached execution audit failed: {divergence}");
-                }
-            }
-            let balance = self.ifus.iter().map(|&u| post.total_balance_of(u)).sum();
-            (receipts.to_vec(), balance)
-        } else {
-            let (receipts, post) = self
+        let (receipts, post) = self.prefix.execute(&self.scratch_seq);
+        // Differential oracle: the incremental result must be bit-identical
+        // to a naive replay of the whole window from the pristine base.
+        #[cfg(feature = "audit")]
+        {
+            let (naive_receipts, naive_post) = self
                 .ovm
                 .simulate_sequence(&self.base_state, &self.scratch_seq);
-            let balance = self.ifus.iter().map(|&u| post.total_balance_of(u)).sum();
-            (receipts, balance)
-        };
+            // The naive side rebuilds its root from scratch so the oracle
+            // cross-checks the incremental commitment cache rather than
+            // comparing the cache against itself.
+            if let Err(divergence) = parole_audit::differential::diff_execution(
+                &naive_receipts,
+                naive_post.state_root_naive(),
+                receipts,
+                post.state_root(),
+            ) {
+                panic!("prefix-cached execution audit failed: {divergence}");
+            }
+        }
+        let final_balance = self.ifus.iter().map(|&u| post.total_balance_of(u)).sum();
+        let receipts = receipts.to_vec();
 
         let mut executed = vec![false; self.current.len()];
         for (slot, receipt) in receipts.iter().enumerate() {

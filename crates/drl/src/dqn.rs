@@ -199,8 +199,8 @@ impl DqnAgent {
     /// planes instead of `batch_size` per-sample passes), which is
     /// bit-identical to the per-sample formulation: sampling consumes the RNG
     /// draw for draw like [`ReplayBuffer::sample`], and the batched backward
-    /// accumulates per-sample gradients in the same order the old
-    /// `Gradients::accumulate` chain did.
+    /// accumulates per-sample gradients in sample order, as the per-sample
+    /// reference chain in the network's unit tests does.
     pub fn train_step(&mut self) -> Option<f64> {
         let indices = self
             .buffer

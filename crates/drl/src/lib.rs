@@ -24,14 +24,16 @@
 //! # Example
 //!
 //! ```
-//! use parole_drl::{Mlp, Adam};
+//! use parole_drl::{Adam, BatchScratch, Mlp};
 //!
-//! // Learn y = x on a tiny network.
+//! // Learn y = x on a tiny network, one sample per step.
 //! let mut net = Mlp::new(&[1, 8, 1], 42);
 //! let mut opt = Adam::new(0.01);
+//! let mut scratch = BatchScratch::default();
 //! for _ in 0..400 {
 //!     for x in [-1.0f64, -0.5, 0.0, 0.5, 1.0] {
-//!         let grads = net.backward(&[x], &[x]);
+//!         net.forward_batch(&[x], 1, &mut scratch);
+//!         let grads = net.backward_batch(&[x], 1, &scratch);
 //!         opt.apply(&mut net, &grads);
 //!     }
 //! }

@@ -28,6 +28,9 @@ impl Dense {
         }
     }
 
+    /// The per-sample reference body that [`Mlp::forward_batch`] must match
+    /// bit for bit.
+    #[cfg(test)]
     fn forward(&self, x: &[f64], out: &mut Vec<f64>) {
         debug_assert_eq!(x.len(), self.inputs);
         out.clear();
@@ -43,7 +46,7 @@ impl Dense {
     }
 }
 
-/// Per-layer gradient buffers produced by [`Mlp::backward`].
+/// Per-layer gradient buffers produced by [`Mlp::backward_batch`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Gradients {
     weight_grads: Vec<Vec<f64>>,
@@ -51,12 +54,15 @@ pub struct Gradients {
 }
 
 impl Gradients {
-    /// Elementwise accumulation (for minibatch averaging).
+    /// Elementwise accumulation. With the per-sample `Mlp::backward` it
+    /// forms the reference chain [`Mlp::backward_batch`] must match bit for
+    /// bit.
     ///
     /// Both operands must come from networks of identical architecture; a
     /// mismatch is a caller bug (zip would silently truncate), caught by the
     /// debug assertions.
-    pub fn accumulate(&mut self, other: &Gradients) {
+    #[cfg(test)]
+    fn accumulate(&mut self, other: &Gradients) {
         debug_assert_eq!(
             self.weight_grads.len(),
             other.weight_grads.len(),
@@ -175,25 +181,22 @@ impl Mlp {
         self.parameter_count() * std::mem::size_of::<f64>()
     }
 
-    /// Runs the network forward, returning the output activations.
+    /// Runs the network forward on one sample — [`Mlp::forward_batch`] at
+    /// batch 1 — returning the output activations.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x.len() != input_dim`.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut cur = x.to_vec();
-        let mut next = Vec::new();
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            layer.forward(&cur, &mut next);
-            if i != last {
-                for v in next.iter_mut() {
-                    *v = v.max(0.0); // ReLU
-                }
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
-        cur
+        let mut scratch = BatchScratch::default();
+        self.forward_batch(x, 1, &mut scratch);
+        scratch.acts.pop().expect("forward_batch fills every plane")
     }
 
-    /// Forward pass keeping every layer's post-activation output (index 0 is
-    /// the input itself) for backpropagation.
+    /// Per-sample reference forward pass keeping every layer's
+    /// post-activation output (index 0 is the input itself) for the
+    /// reference backpropagation.
+    #[cfg(test)]
     fn forward_cached(&self, x: &[f64]) -> Vec<Vec<f64>> {
         let mut acts = Vec::with_capacity(self.layers.len() + 1);
         acts.push(x.to_vec());
@@ -216,9 +219,10 @@ impl Mlp {
     /// activations in `scratch` for a following [`Mlp::backward_batch`].
     ///
     /// `xs` is sample-major (`batch × input_dim` flattened); the returned
-    /// slice is the output plane, `batch × output_dim`. Per-sample arithmetic
-    /// is performed in exactly the order of [`Mlp::forward`], so results are
-    /// bit-identical to `batch` individual passes.
+    /// slice is the output plane, `batch × output_dim`. Each sample's
+    /// arithmetic runs in the same order at any batch size, so results are
+    /// bit-identical to `batch` individual passes (pinned against the
+    /// per-sample reference body the unit tests keep).
     ///
     /// # Panics
     ///
@@ -257,14 +261,19 @@ impl Mlp {
         planes.last().expect("non-empty")
     }
 
-    /// Backpropagates the MSE loss for a whole minibatch in one pass,
-    /// reusing the activations left in `scratch` by the immediately
-    /// preceding [`Mlp::forward_batch`] call on the same inputs.
+    /// Backpropagates the MSE loss `½‖y − target‖²` for a whole minibatch in
+    /// one pass, reusing the activations left in `scratch` by the
+    /// immediately preceding [`Mlp::forward_batch`] call on the same inputs.
     ///
     /// Returns the *sum* of per-sample gradients, accumulated in sample
-    /// order — bit-identical to calling [`Mlp::backward`] per sample and
-    /// chaining [`Gradients::accumulate`], but with one gradient allocation
-    /// for the whole batch instead of one per sample.
+    /// order — bit-identical to backpropagating each sample alone and
+    /// summing the gradients in order (pinned against the per-sample
+    /// reference the unit tests keep), with one gradient allocation for the
+    /// whole batch. At batch 1 it is the single-sample backward pass.
+    ///
+    /// For Q-learning, pass targets equal to the current prediction except
+    /// at the trained action's index — untouched outputs then contribute
+    /// zero gradient, which is the standard DQN masking trick.
     ///
     /// # Panics
     ///
@@ -356,13 +365,11 @@ impl Mlp {
         }
     }
 
-    /// Backpropagates the MSE loss `½‖y − target‖²` for one sample, returning
-    /// the gradients (the caller applies them through an optimizer).
-    ///
-    /// For Q-learning, pass a `target` equal to the current prediction except
-    /// at the trained action's index — untouched outputs then contribute zero
-    /// gradient, which is the standard DQN masking trick.
-    pub fn backward(&mut self, x: &[f64], target: &[f64]) -> Gradients {
+    /// Per-sample reference backpropagation of the MSE loss
+    /// `½‖y − target‖²`, which [`Mlp::backward_batch`] must match bit for
+    /// bit.
+    #[cfg(test)]
+    fn backward(&mut self, x: &[f64], target: &[f64]) -> Gradients {
         let acts = self.forward_cached(x);
         let output = acts.last().expect("non-empty");
         debug_assert_eq!(output.len(), target.len());
@@ -709,8 +716,10 @@ mod tests {
         let mut scratch = BatchScratch::default();
         let plane = net.forward_batch(&xs, batch, &mut scratch).to_vec();
         for b in 0..batch {
-            let single = net.forward(&xs[b * 4..(b + 1) * 4]);
-            assert_eq!(&plane[b * 3..(b + 1) * 3], single.as_slice());
+            let x = &xs[b * 4..(b + 1) * 4];
+            let reference = net.forward_cached(x).pop().unwrap();
+            assert_eq!(&plane[b * 3..(b + 1) * 3], reference.as_slice());
+            assert_eq!(net.forward(x), reference);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Property-based tests for the DRL substrate: backprop correctness on
 //! random architectures, replay-buffer semantics, and schedule monotonicity.
 
-use parole_drl::{DqnConfig, Mlp, ReplayBuffer, Sgd, Transition};
+use parole_drl::{BatchScratch, DqnConfig, Mlp, ReplayBuffer, Sgd, Transition};
 use proptest::prelude::*;
 
 proptest! {
@@ -17,10 +17,12 @@ proptest! {
         outputs in 1usize..4,
         scale in 0.1f64..2.0,
     ) {
-        let mut net = Mlp::new(&[inputs, hidden, outputs], seed);
+        let net = Mlp::new(&[inputs, hidden, outputs], seed);
         let x: Vec<f64> = (0..inputs).map(|i| (i as f64 - 1.0) * scale).collect();
         let target: Vec<f64> = (0..outputs).map(|i| i as f64 * 0.5 - 0.3).collect();
-        let grads = net.backward(&x, &target);
+        let mut scratch = BatchScratch::default();
+        net.forward_batch(&x, 1, &mut scratch);
+        let grads = net.backward_batch(&target, 1, &scratch);
 
         let loss = |net: &Mlp| -> f64 {
             let y = net.forward(&x);

@@ -15,8 +15,6 @@
 //!   effective tip with FIFO tie-breaking, parked sub-cap transactions)
 //!   with fixed-interval block pacing —
 //!   `collect(n)` is O(n log P), not a full-pool sort;
-//! - [`SharedMempool`] — a thread-safe handle for fleet simulations where
-//!   many aggregators drain one mempool concurrently;
 //! - [`WorkloadGenerator`] — generates NFT transaction traffic that is
 //!   guaranteed executable in arrival order (the property the paper's
 //!   arbitrage assessment assumes of the original sequence), with a
@@ -54,6 +52,6 @@ mod sequencer;
 mod workload;
 
 pub use fee_market::BaseFeeController;
-pub use pool::{BedrockMempool, PoolOpStats, SharedMempool};
+pub use pool::{BedrockMempool, PoolOpStats};
 pub use sequencer::{Screened, ScreeningHook, SealedBlock, Sequencer};
 pub use workload::{WorkloadConfig, WorkloadGenerator, ZipfSampler};

@@ -29,13 +29,11 @@
 //! telemetry), so tests can pin the complexity claim directly: collecting a
 //! block touches O(block) heap entries, not O(pool).
 
-use parking_lot::Mutex;
 use parole_ovm::NftTransaction;
 use parole_primitives::Wei;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::Arc;
 
 /// One pending entry: the transaction plus its arrival sequence number.
 #[derive(Debug, Clone, Copy)]
@@ -260,38 +258,6 @@ impl BedrockMempool {
         out
     }
 
-    /// The fee-priority order of the top `limit` pending includable
-    /// transactions, without removing anything (what an honest aggregator
-    /// *should* execute next).
-    ///
-    /// Uses a quick-select partition before sorting, so the cost is
-    /// O(P + limit log limit) — only the returned prefix is ever sorted,
-    /// never the whole pool.
-    pub fn priority_preview(&self, limit: usize) -> Vec<NftTransaction> {
-        let base_fee = self.base_fee;
-        let mut items: Vec<(Wei, u64, NftTransaction)> = self
-            .ready
-            .iter()
-            .map(|r| &r.pending)
-            .chain(self.parked.iter())
-            .filter(|p| p.tx.fees.is_includable(base_fee))
-            .map(|p| (p.tx.fees.effective_tip(base_fee), p.arrival, p.tx))
-            .collect();
-        let k = limit.min(items.len());
-        if k == 0 {
-            return Vec::new();
-        }
-        let best_first = |a: &(Wei, u64, NftTransaction), b: &(Wei, u64, NftTransaction)| {
-            b.0.cmp(&a.0).then(a.1.cmp(&b.1))
-        };
-        if k < items.len() {
-            items.select_nth_unstable_by(k - 1, best_first);
-            items.truncate(k);
-        }
-        items.sort_unstable_by(best_first);
-        items.into_iter().map(|(_, _, tx)| tx).collect()
-    }
-
     /// Re-keys the index after a base-fee change: every heap and parked
     /// entry is re-screened at the current fee — O(P), once per fee change —
     /// unless the new fee provably changes no key and no parking decision,
@@ -372,49 +338,6 @@ impl fmt::Display for BedrockMempool {
     }
 }
 
-/// A cloneable, thread-safe handle to a shared [`BedrockMempool`].
-///
-/// Fleet simulations spawn one thread per aggregator; all of them drain the
-/// same pool. `parking_lot::Mutex` keeps the hot `collect` path cheap.
-#[derive(Debug, Clone)]
-pub struct SharedMempool {
-    inner: Arc<Mutex<BedrockMempool>>,
-}
-
-impl SharedMempool {
-    /// Wraps a mempool for shared use.
-    pub fn new(pool: BedrockMempool) -> Self {
-        SharedMempool {
-            inner: Arc::new(Mutex::new(pool)),
-        }
-    }
-
-    /// Submits a transaction.
-    pub fn submit(&self, tx: NftTransaction) {
-        self.inner.lock().submit(tx);
-    }
-
-    /// Submits a batch.
-    pub fn submit_all<I: IntoIterator<Item = NftTransaction>>(&self, txs: I) {
-        self.inner.lock().submit_all(txs);
-    }
-
-    /// Collects up to `n` transactions in fee-priority order.
-    pub fn collect(&self, n: usize) -> Vec<NftTransaction> {
-        self.inner.lock().collect(n)
-    }
-
-    /// Number of pending transactions.
-    pub fn len(&self) -> usize {
-        self.inner.lock().len()
-    }
-
-    /// `true` when nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,22 +410,6 @@ mod tests {
         assert!(!pool.tick());
         assert!(pool.tick());
         assert_eq!(pool.now(), 4);
-    }
-
-    #[test]
-    fn priority_preview_is_nondestructive_and_bounded() {
-        let mut pool = BedrockMempool::new(Wei::from_gwei(1));
-        pool.submit(tx(1, 5));
-        pool.submit(tx(2, 9));
-        pool.submit(tx(3, 7));
-        let preview = pool.priority_preview(2);
-        assert_eq!(preview.len(), 2);
-        assert_eq!(pool.len(), 3, "preview must not remove anything");
-        let senders: Vec<u64> = preview.iter().map(sender_of).collect();
-        assert_eq!(senders, vec![2, 3], "top-limit prefix in priority order");
-        // A limit beyond the population returns everything, ordered.
-        let all: Vec<u64> = pool.priority_preview(100).iter().map(sender_of).collect();
-        assert_eq!(all, vec![2, 3, 1]);
     }
 
     /// The complexity witness: with a stable base fee, collecting a block
@@ -694,28 +601,5 @@ mod tests {
         pool.set_base_fee(Wei::from_gwei(25));
         let _ = pool.collect(1);
         assert_eq!(pool.op_stats().rebuilds, 1);
-    }
-
-    #[test]
-    fn shared_pool_concurrent_drain() {
-        let pool = SharedMempool::new(BedrockMempool::new(Wei::from_gwei(1)));
-        for i in 0..100 {
-            pool.submit(tx(i, i % 10));
-        }
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let p = pool.clone();
-                std::thread::spawn(move || {
-                    let mut mine = 0;
-                    while !p.is_empty() {
-                        mine += p.collect(5).len();
-                    }
-                    mine
-                })
-            })
-            .collect();
-        let total: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(total, 100);
-        assert!(pool.is_empty());
     }
 }

@@ -52,7 +52,6 @@ pub struct Sequencer {
     gas_schedule: GasSchedule,
     gas_limit: Gas,
     blocks_sealed: u64,
-    ovm: Ovm,
     /// Chain-level log index over executed blocks; `None` when indexing is
     /// off ([`Sequencer::with_log_index`]).
     log_index: Option<LogIndex>,
@@ -82,17 +81,8 @@ impl Sequencer {
             gas_schedule: GasSchedule::paper_calibrated(),
             gas_limit,
             blocks_sealed: 0,
-            ovm: Ovm::new(),
             log_index: None,
         }
-    }
-
-    /// Sets the OVM used by [`Sequencer::seal_and_execute`]
-    /// (builder-style), e.g. one configured to charge fees.
-    #[must_use]
-    pub fn with_ovm(mut self, ovm: Ovm) -> Self {
-        self.ovm = ovm;
-        self
     }
 
     /// Switches the chain-level log index on or off (builder-style, off by
@@ -246,7 +236,7 @@ impl Sequencer {
         // before any transaction of this block executes.
         #[cfg(feature = "audit")]
         let pre_maps = parole_audit::replay::snapshot_maps(state);
-        let receipts = self.ovm.execute_sequence(state, &block.txs);
+        let receipts = Ovm::new().execute_sequence(state, &block.txs);
         // Event-replay oracle: folding the block's receipt log stream over
         // the pre-block maps must land exactly on the post-block ownership,
         // approval, operator and curve maps (fail-stop).

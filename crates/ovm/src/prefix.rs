@@ -4,10 +4,10 @@
 //! of the *same* transaction window, and consecutive candidates differ only
 //! by a swap of two positions: a swap of positions `(i, j)` leaves execution
 //! identical up to `min(i, j)`. [`PrefixExecutor`] exploits that by keeping
-//! one journaled working state plus checkpoints taken at a configurable
-//! stride; the next evaluation reverts to the deepest checkpoint at or
-//! before the divergence point and replays only the suffix, instead of
-//! cloning the world and replaying the whole window from scratch.
+//! one journaled working state plus a checkpoint before every slot; the
+//! next evaluation reverts to the checkpoint at the divergence point and
+//! replays only the suffix, instead of cloning the world and replaying the
+//! whole window from scratch.
 //!
 //! Receipts and the post-state are bit-identical to
 //! [`Ovm::simulate_sequence`] — the equivalence proptests in `parole`
@@ -32,10 +32,10 @@ pub struct PrefixStats {
 /// Incremental executor for repeated evaluations of reorderings of one
 /// transaction window against one base state.
 ///
-/// The working state records an undo journal (see `parole-state`); marks
-/// pair a slot index with the journal [`Checkpoint`] taken *before* that
-/// slot executed, so reverting to a mark yields exactly the state after
-/// slots `0..slot`.
+/// The working state records an undo journal (see `parole-state`);
+/// `marks[k]` is the journal [`Checkpoint`] taken *before* slot `k`
+/// executed, so reverting to it yields exactly the state after slots
+/// `0..k`.
 #[derive(Debug)]
 pub struct PrefixExecutor {
     ovm: Ovm,
@@ -46,31 +46,26 @@ pub struct PrefixExecutor {
     prev: Vec<NftTransaction>,
     /// Receipts of `prev`, slot for slot.
     receipts: Vec<Receipt>,
-    /// `(slot, checkpoint-before-slot)` pairs in increasing slot order. The
-    /// first mark is always `(0, base)`; the last one sits at the end of
-    /// `prev` so re-evaluating an identical sequence replays nothing.
-    marks: Vec<(usize, Checkpoint)>,
-    /// Checkpoints are taken every `stride` slots during replay (1 = every
-    /// slot: maximum reuse, maximum mark bookkeeping).
-    stride: usize,
+    /// `marks[k]` is the checkpoint before slot `k`, for `k` in
+    /// `0..=prev.len()`: `marks[0]` is the base, and the last one sits at
+    /// the end of `prev` so re-evaluating an identical sequence replays
+    /// nothing.
+    marks: Vec<Checkpoint>,
     stats: PrefixStats,
 }
 
 impl PrefixExecutor {
     /// Builds an executor over its own journaled copy of `base`.
-    ///
-    /// `stride` of 0 is treated as 1.
-    pub fn new(ovm: Ovm, base: &L2State, stride: usize) -> Self {
+    pub fn new(ovm: Ovm, base: &L2State) -> Self {
         let mut work = base.clone();
         work.begin_recording();
-        let root = work.checkpoint();
+        let base = work.checkpoint();
         PrefixExecutor {
             ovm,
             work,
             prev: Vec::new(),
             receipts: Vec::new(),
-            marks: vec![(0, root)],
-            stride: stride.max(1),
+            marks: vec![base],
             stats: PrefixStats::default(),
         }
     }
@@ -85,20 +80,13 @@ impl PrefixExecutor {
         // Divergence point: the longest common prefix with the previous
         // sequence (`NftTransaction` is `Copy + PartialEq`, so this is a
         // plain field comparison, not a hash).
-        let common = self
+        let resume = self
             .prev
             .iter()
             .zip(seq)
             .take_while(|(a, b)| *a == *b)
             .count();
 
-        // Deepest mark at or before the divergence point.
-        let keep = self
-            .marks
-            .iter()
-            .rposition(|&(slot, _)| slot <= common)
-            .expect("mark (0, base) always present");
-        let (resume, cp) = self.marks[keep];
         // A "hit" means some prefix survived: the search paid for replaying
         // strictly less than the full window.
         if resume > 0 {
@@ -107,21 +95,15 @@ impl PrefixExecutor {
             parole_telemetry::counter("ovm.prefix_checkpoint_misses", 1);
         }
         parole_telemetry::observe("ovm.prefix_replay_len", (seq.len() - resume) as u64);
-        self.work.revert_to(cp);
-        self.marks.truncate(keep + 1);
+        self.work.revert_to(self.marks[resume]);
+        self.marks.truncate(resume + 1);
         self.receipts.truncate(resume);
 
-        // Replay the suffix, dropping a mark every `stride` slots.
-        for (slot, tx) in seq.iter().enumerate().skip(resume) {
-            let last_marked = self.marks.last().expect("non-empty").0;
-            if slot > last_marked && (slot - last_marked) >= self.stride {
-                self.marks.push((slot, self.work.checkpoint()));
-            }
+        // Replay the suffix, marking the end of every slot; the last mark
+        // lets an identical re-evaluation replay nothing.
+        for tx in &seq[resume..] {
             self.receipts.push(self.ovm.execute(&mut self.work, tx));
-        }
-        // Terminal mark: an identical re-evaluation replays nothing.
-        if self.marks.last().expect("non-empty").0 < seq.len() {
-            self.marks.push((seq.len(), self.work.checkpoint()));
+            self.marks.push(self.work.checkpoint());
         }
 
         self.prev.clear();
@@ -220,7 +202,7 @@ mod tests {
     fn matches_naive_simulation_across_swaps() {
         let (base, mut seq) = fixture();
         let ovm = Ovm::new();
-        let mut exec = PrefixExecutor::new(ovm.clone(), &base, 1);
+        let mut exec = PrefixExecutor::new(ovm.clone(), &base);
         let swaps = [(0, 3), (2, 5), (1, 2), (0, 5), (3, 4), (2, 5), (0, 1)];
         for &(i, j) in &swaps {
             seq.swap(i, j);
@@ -232,27 +214,9 @@ mod tests {
     }
 
     #[test]
-    fn strides_do_not_change_results() {
-        let (base, mut seq) = fixture();
-        let ovm = Ovm::new();
-        let mut execs: Vec<PrefixExecutor> = [1usize, 2, 3, 7]
-            .iter()
-            .map(|&s| PrefixExecutor::new(ovm.clone(), &base, s))
-            .collect();
-        for &(i, j) in &[(4, 5), (0, 2), (1, 4), (3, 5), (0, 1)] {
-            seq.swap(i, j);
-            let (want, _) = ovm.simulate_sequence(&base, &seq);
-            for exec in &mut execs {
-                let (got, _) = exec.execute(&seq);
-                assert_eq!(got, want.as_slice());
-            }
-        }
-    }
-
-    #[test]
     fn identical_sequences_replay_nothing() {
         let (base, seq) = fixture();
-        let mut exec = PrefixExecutor::new(Ovm::new(), &base, 1);
+        let mut exec = PrefixExecutor::new(Ovm::new(), &base);
         exec.execute(&seq);
         let executed_before = exec.stats().slots_executed;
         exec.execute(&seq);
@@ -263,7 +227,7 @@ mod tests {
     #[test]
     fn late_swaps_replay_only_the_suffix() {
         let (base, mut seq) = fixture();
-        let mut exec = PrefixExecutor::new(Ovm::new(), &base, 1);
+        let mut exec = PrefixExecutor::new(Ovm::new(), &base);
         exec.execute(&seq);
         seq.swap(4, 5);
         exec.execute(&seq);

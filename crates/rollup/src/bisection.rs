@@ -373,7 +373,13 @@ pub fn settle_step(
             };
             let mut diverging = Vec::new();
             for key in &touched {
-                let opening = openings.iter().find(|p| p.key() == *key);
+                // `prove_record` answers an operator key with its
+                // collection's header opening, so that is the one to match.
+                let opened = match *key {
+                    RecordKey::Oper(collection, _) => RecordKey::Coll(collection),
+                    key => key,
+                };
+                let opening = openings.iter().find(|p| p.key() == opened);
                 let honest = witness.prove_record(key);
                 let agrees = match (opening, &honest) {
                     (Some(d), Some(h)) => {

@@ -192,3 +192,49 @@ proptest! {
         );
     }
 }
+
+/// Localization opens an operator record through its collection's header
+/// and matches the two: a defender that forges only a credit to the sender
+/// of a `SetApprovalForAll` step is blamed for the sender's account alone,
+/// not for the honest operator record beside it.
+#[test]
+fn forged_credit_beside_an_operator_grant_blames_only_the_account() {
+    let mut pre = L2State::new();
+    let pt = pre.deploy_collection(CollectionConfig::parole_token());
+    let sender = addr(1);
+    pre.credit(sender, Wei::from_eth(4));
+    let txs = vec![NftTransaction::simple(
+        sender,
+        TxKind::SetApprovalForAll {
+            collection: pt,
+            operator: addr(2),
+            approved: true,
+        },
+    )];
+    let ovm = Ovm::new();
+    let defender = TracedExecution::record_with(&ovm, &pre, &txs, |_, st| {
+        st.credit(sender, Wei::from_eth(1));
+    });
+    let challenger = TracedExecution::record(&ovm, &pre, &txs);
+
+    let result = bisect(defender.trace(), challenger.trace());
+    assert_eq!(result.step, DisputedStep::Tx(0));
+    let mut post = defender.final_state().clone();
+    post.advance_block();
+    let batch = parole_rollup::Batch {
+        aggregator: parole_primitives::AggregatorId::new(0),
+        txs: txs.clone(),
+        receipts: Vec::new(),
+        commitment: parole_rollup::StateCommitment {
+            pre_state_root: pre.state_root(),
+            post_state_root: post.state_root(),
+            tx_root: parole_rollup::Batch::compute_tx_root(&txs),
+        },
+    };
+    match settle_step(&ovm, &batch, &defender, &challenger, result.step) {
+        SettlementVerdict::FraudConfirmed { diverging, .. } => {
+            assert_eq!(diverging, vec![parole_state::RecordKey::Acct(sender)]);
+        }
+        other => panic!("expected fraud confirmed, got {other:?}"),
+    }
+}

@@ -60,17 +60,12 @@ use crate::AccountState;
 use parole_crypto::{keccak256, CommitTree, Hash32, MerkleProof};
 use parole_nft::Collection;
 use parole_primitives::{Address, BlockNumber, PagedVec, TokenId, Wei};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Derive depth of the top-level tree: leaves and level 1 are re-derived
 /// from the tables, levels 2 and up stay resident (see the module docs).
 const TOP_DEPTH: u32 = 2;
-
-/// Sticky dirty count: the record is dirty for reasons the journal cannot
-/// account for (mutations journaled before the cache existed, or before the
-/// last flush), so undo-log rollbacks must never clean it.
-const STICKY: u32 = u32::MAX;
 
 /// Builds the fixed-width preimage of the chain-metadata leaf — always leaf
 /// 0 of the top-level tree: `"meta" ‖ block-number (8B BE)`.
@@ -360,12 +355,12 @@ impl CollSub {
     /// splice one out, surviving tokens re-derive their leaf (owner or
     /// approval moved), and all affected paths repair in one batched
     /// O(dirty · log n) pass. Returns the number of token leaves flushed.
-    fn reconcile(&mut self, coll: &Collection, dirty: &BTreeMap<TokenId, u32>) -> usize {
+    fn reconcile(&mut self, coll: &Collection, dirty: &BTreeSet<TokenId>) -> usize {
         let mut flushed = 0usize;
         // Structural pass first, so every index the batch below uses is
         // final. A minted leaf is hashed as it is spliced in.
         let mut minted = Vec::new();
-        for &token in dirty.keys() {
+        for &token in dirty {
             match (coll.owner_of(token), self.tokens.binary_search(&token)) {
                 (Some(owner), Err(pos)) => {
                     self.tokens.insert(pos, token);
@@ -385,7 +380,7 @@ impl CollSub {
         // Content pass: re-derive every surviving dirty token leaf, hashes
         // batched through one call, paths repaired in one batch.
         let positions: Vec<usize> = dirty
-            .keys()
+            .iter()
             .filter(|token| minted.binary_search(token).is_err())
             .filter_map(|token| self.tokens.binary_search(token).ok())
             .collect();
@@ -396,28 +391,18 @@ impl CollSub {
     }
 }
 
-/// Per-collection dirt: a whole-collection mutation count (a deployment
-/// and its rollback), a header-only count
-/// (blanket operator approvals, which commit through the header leaf but
-/// leave the token sub-tree untouched), plus token-granular counts for the
-/// per-token NFT ops. All levels carry the same mutation-count / [`STICKY`]
-/// / high-water-mark semantics as account dirt (see [`CommitSlot`]).
+/// Per-collection dirt. A dirty collection's header leaf always
+/// re-derives; an entry with neither `whole` nor tokens is a header-only
+/// touch (a blanket operator approval, which commits through the header
+/// leaf but leaves the token sub-tree alone).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CollDirt {
-    /// Whole-collection mutation count: the caller may have changed
-    /// anything, so a flush rebuilds the sub-tree from scratch.
-    whole: u32,
-    /// Header-only mutation count: the flush re-hashes the 120-byte header
-    /// leaf without touching the sub-tree (operator approvals changed).
-    header: u32,
-    /// Per-token mutation counts: a flush reconciles exactly these leaves.
-    tokens: BTreeMap<TokenId, u32>,
-}
-
-impl CollDirt {
-    fn is_clean(&self) -> bool {
-        self.whole == 0 && self.header == 0 && self.tokens.is_empty()
-    }
+    /// The collection was deployed, or its deployment rolled back: a flush
+    /// rebuilds the sub-tree from scratch.
+    whole: bool,
+    /// Tokens touched by per-token NFT ops: a flush reconciles exactly
+    /// these leaves.
+    tokens: BTreeSet<TokenId>,
 }
 
 /// A materialized commitment: the resident top-level tree plus its
@@ -484,10 +469,10 @@ impl TopKeys {
     fn merge_acct_keys(
         &mut self,
         accounts: &AccountTable,
-        dirty_accts: &BTreeMap<Address, u32>,
+        dirty_accts: &BTreeSet<Address>,
     ) -> (Option<usize>, Vec<Address>, usize) {
         let (mut created, mut destroyed, mut first) = (Vec::new(), Vec::new(), None);
-        for &who in dirty_accts.keys() {
+        for &who in dirty_accts {
             let pos = match (
                 accounts.contains_key(&who),
                 self.acct_keys.binary_search(&who),
@@ -584,7 +569,7 @@ impl CommitCache {
         collections: &CollTable,
         block: BlockNumber,
         dirty_block: bool,
-        dirty_accts: &BTreeMap<Address, u32>,
+        dirty_accts: &BTreeSet<Address>,
         dirty_colls: &BTreeMap<Address, CollDirt>,
     ) -> FlushStats {
         let mut stats = FlushStats::default();
@@ -625,7 +610,7 @@ impl CommitCache {
         if dirty_block {
             dirty.push(0);
         }
-        for who in dirty_accts.keys() {
+        for who in dirty_accts {
             if created_accts.binary_search(who).is_err() {
                 if let Ok(pos) = keys.acct_keys.binary_search(who) {
                     dirty.push(1 + pos);
@@ -644,7 +629,7 @@ impl CommitCache {
             // Copy-on-write at sub-tree granularity: only the touched
             // collections' sub-trees detach from a forked parent.
             let sub = Arc::make_mut(&mut keys.coll_subs[pos]);
-            if dirt.whole != 0 {
+            if dirt.whole {
                 *sub = CollSub::build(coll);
                 stats.token_leaves += sub.tokens.len();
             } else {
@@ -677,63 +662,25 @@ impl CommitCache {
     }
 }
 
-/// The per-state commitment slot: an optional shared cache plus the dirty
-/// records accumulated since the last flush.
+/// The per-state commitment slot: an optional shared cache plus the
+/// records touched since the last flush.
 ///
 /// The cache is `None` until the first `state_root()` call (states that
 /// never commit pay nothing). Dirty marking is a no-op while the cache is
 /// `None` — there is nothing to invalidate, and the first flush builds from
 /// the live maps anyway.
 ///
-/// # Rollback-aware dirty tracking
-///
-/// Dirty records carry a **mutation count**, and the slot remembers a
-/// high-water mark `hwm`: the journal length at the moment the cache was
-/// last built or flushed. Together they let an undo-log rollback *clean*
-/// a record instead of re-dirtying it:
-///
-/// - a forward mutation increments the record's count;
-/// - undoing a journal entry at index `i ≥ hwm` decrements it — that entry's
-///   forward mark is still in the map, and when the count hits zero every
-///   mutation since the flush has been exactly undone, so the record again
-///   equals its committed leaf and needs no re-hash;
-/// - undoing an entry at index `i < hwm` pins the count to [`STICKY`]: the
-///   entry predates the flush (or the cache itself), its forward mark is
-///   gone (or never existed), so the restored value differs from the
-///   committed leaf in a way counts cannot track.
-///
-/// Token-granular dirt carries the **same semantics one level down**: a
-/// per-token NFT op (mint, transfer, burn, approve) marks only that token's
-/// count inside the collection's [`CollDirt`], its rollback unmarks the
-/// same token, and a speculative window of token ops that fully rolls back
-/// flushes **zero** leaves at both levels. Whole-collection marks (a
-/// deployment and its rollback) keep their own count beside the
-/// token counts; a flush rebuilds the sub-tree when the whole-count is hot
-/// and reconciles individual token leaves otherwise.
+/// The dirty records are plain sets, and a rollback marks what it rewrites:
+/// `revert_to` calls the same `mark_*` for every record it restores as the
+/// forward mutation did. A fully reverted window therefore re-hashes the
+/// records it touched, back to the leaves they were committed with.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CommitSlot {
     cache: Option<Arc<CommitCache>>,
-    dirty_accts: BTreeMap<Address, u32>,
+    dirty_accts: BTreeSet<Address>,
     dirty_colls: BTreeMap<Address, CollDirt>,
-    /// Mutation count for the chain-metadata leaf (block number), with the
-    /// same count / [`STICKY`] semantics as the per-record maps.
-    dirty_block: u32,
-    /// Journal length at the last cache build/flush. Entries below this
-    /// index have no live forward mark (see the struct docs).
-    hwm: usize,
-}
-
-/// One inverse step of the mutation-count protocol: [`STICKY`] never
-/// cleans, a live post-flush count decrements, and anything the counts
-/// cannot account for (an entry below the high-water mark, or a count
-/// already at zero) pins [`STICKY`] — always safe, a dirty record is
-/// merely re-hashed.
-fn unwind(count: u32, below_hwm: bool) -> u32 {
-    match count {
-        STICKY => STICKY,
-        c if !below_hwm && c > 0 => c - 1,
-        _ => STICKY,
-    }
+    /// The chain-metadata leaf (block number) was touched.
+    dirty_block: bool,
 }
 
 impl CommitSlot {
@@ -741,27 +688,16 @@ impl CommitSlot {
     #[inline]
     pub(crate) fn mark_acct(&mut self, who: Address) {
         if self.cache.is_some() {
-            let c = self.dirty_accts.entry(who).or_insert(0);
-            *c = c.saturating_add(1);
+            self.dirty_accts.insert(who);
         }
     }
 
-    /// Marks the chain-metadata leaf as touched (the block number advanced).
+    /// Marks the chain-metadata leaf as touched (the block number moved).
     #[inline]
     pub(crate) fn mark_block(&mut self) {
         if self.cache.is_some() {
-            self.dirty_block = self.dirty_block.saturating_add(1);
+            self.dirty_block = true;
         }
-    }
-
-    /// Rollback-marks the metadata leaf: called when `revert_to` undoes the
-    /// block-advance journal entry at `index` (see [`CommitSlot::unmark_acct`]).
-    #[inline]
-    pub(crate) fn unmark_block(&mut self, index: usize) {
-        if self.cache.is_none() {
-            return;
-        }
-        self.dirty_block = unwind(self.dirty_block, index < self.hwm);
     }
 
     /// Marks a whole collection as touched (deployed, or its deployment
@@ -769,164 +705,68 @@ impl CommitSlot {
     #[inline]
     pub(crate) fn mark_coll(&mut self, addr: Address) {
         if self.cache.is_some() {
-            let d = self.dirty_colls.entry(addr).or_default();
-            d.whole = d.whole.saturating_add(1);
+            self.dirty_colls.entry(addr).or_default().whole = true;
         }
     }
 
     /// Marks a collection's header leaf as touched without invalidating any
     /// token leaf (a blanket operator approval changed): the next flush
-    /// re-hashes the 120-byte header against the unchanged sub-root — O(log
+    /// re-hashes the 122-byte header against the unchanged sub-root — O(log
     /// collections), no sub-tree work at all.
     #[inline]
     pub(crate) fn mark_coll_header(&mut self, addr: Address) {
         if self.cache.is_some() {
-            let d = self.dirty_colls.entry(addr).or_default();
-            d.header = d.header.saturating_add(1);
-        }
-    }
-
-    /// Rollback-marks a collection header (see [`CommitSlot::unmark_acct`]).
-    #[inline]
-    pub(crate) fn unmark_coll_header(&mut self, addr: Address, index: usize) {
-        if self.cache.is_none() {
-            return;
-        }
-        let below_hwm = index < self.hwm;
-        let dirt = self.dirty_colls.entry(addr).or_default();
-        dirt.header = unwind(dirt.header, below_hwm);
-        if dirt.is_clean() {
-            self.dirty_colls.remove(&addr);
+            self.dirty_colls.entry(addr).or_default();
         }
     }
 
     /// Marks a single token of a collection as touched (minted,
-    /// transferred, burned or approved): the next flush reconciles exactly
-    /// that sub-tree leaf — O(log supply), the hierarchical fast path.
+    /// transferred, burned, approved or listed): the next flush reconciles
+    /// exactly that sub-tree leaf — O(log supply), the hierarchical fast
+    /// path.
     #[inline]
     pub(crate) fn mark_coll_token(&mut self, addr: Address, token: TokenId) {
         if self.cache.is_some() {
-            let c = self
-                .dirty_colls
+            self.dirty_colls
                 .entry(addr)
                 .or_default()
                 .tokens
-                .entry(token)
-                .or_insert(0);
-            *c = c.saturating_add(1);
+                .insert(token);
         }
-    }
-
-    /// Rollback-marks an account: called when `revert_to` undoes the journal
-    /// entry at `index` that had mutated `who`.
-    #[inline]
-    pub(crate) fn unmark_acct(&mut self, who: Address, index: usize) {
-        if self.cache.is_none() {
-            return;
-        }
-        let below_hwm = index < self.hwm;
-        let c = self.dirty_accts.entry(who).or_insert(0);
-        *c = unwind(*c, below_hwm);
-        if *c == 0 {
-            // Count reaches zero: every post-flush mutation undone, the
-            // record matches its committed leaf again.
-            self.dirty_accts.remove(&who);
-        }
-    }
-
-    /// Rollback-marks a whole collection (see [`CommitSlot::unmark_acct`]).
-    #[inline]
-    pub(crate) fn unmark_coll(&mut self, addr: Address, index: usize) {
-        if self.cache.is_none() {
-            return;
-        }
-        let below_hwm = index < self.hwm;
-        let dirt = self.dirty_colls.entry(addr).or_default();
-        dirt.whole = unwind(dirt.whole, below_hwm);
-        if dirt.is_clean() {
-            self.dirty_colls.remove(&addr);
-        }
-    }
-
-    /// Rollback-marks a single token: called when `revert_to` undoes the
-    /// per-token journal entry at `index` that had mutated `token`.
-    #[inline]
-    pub(crate) fn unmark_coll_token(&mut self, addr: Address, token: TokenId, index: usize) {
-        if self.cache.is_none() {
-            return;
-        }
-        let below_hwm = index < self.hwm;
-        let dirt = self.dirty_colls.entry(addr).or_default();
-        let c = dirt.tokens.entry(token).or_insert(0);
-        *c = unwind(*c, below_hwm);
-        if *c == 0 {
-            dirt.tokens.remove(&token);
-        }
-        if dirt.is_clean() {
-            self.dirty_colls.remove(&addr);
-        }
-    }
-
-    /// Informs the slot that the journal was truncated to `len` (by a
-    /// rollback): marks issued after the truncation point are gone, so the
-    /// high-water mark can only move down.
-    #[inline]
-    pub(crate) fn journal_truncated(&mut self, len: usize) {
-        self.hwm = self.hwm.min(len);
     }
 
     /// Number of records currently marked dirty (telemetry/test hook). A
     /// collection counts once however many of its tokens are dirty; the
     /// metadata leaf counts as one record when the block number moved.
     pub(crate) fn dirty_records(&self) -> usize {
-        self.dirty_accts.len() + self.dirty_colls.len() + usize::from(self.dirty_block != 0)
-    }
-
-    /// Resets the high-water mark for a fork: clones get a fresh, empty
-    /// journal, so every future journal index is ≥ 0 and carries its own
-    /// forward mark.
-    pub(crate) fn reset_hwm_for_fork(&mut self) {
-        self.hwm = 0;
+        self.dirty_accts.len() + self.dirty_colls.len() + usize::from(self.dirty_block)
     }
 
     /// Returns the current state root, building the cache on first use and
     /// otherwise flushing only the dirty records through the resident trees.
-    ///
-    /// `journal_len` is the owning state's current journal length; it
-    /// becomes the new high-water mark for rollback-aware dirty tracking.
     pub(crate) fn root(
         &mut self,
         accounts: &AccountTable,
         collections: &CollTable,
         block: BlockNumber,
-        journal_len: usize,
     ) -> Hash32 {
         let _span = parole_telemetry::span("state.root");
         parole_telemetry::counter("state.root_calls", 1);
         let keccak_before = parole_telemetry::local_counter("crypto.keccak256");
+        let dirty_records = self.dirty_records();
         let root = match self.cache.as_mut() {
             None => {
                 parole_telemetry::counter("state.commit_builds", 1);
                 let cache = CommitCache::build(accounts, collections, block);
                 let root = cache.tree.root();
                 self.cache = Some(Arc::new(cache));
-                self.dirty_accts.clear();
-                self.dirty_colls.clear();
-                self.dirty_block = 0;
-                self.hwm = journal_len;
                 root
             }
+            Some(shared) if dirty_records == 0 => {
+                parole_telemetry::counter("state.root_clean_hits", 1);
+                return shared.tree.root();
+            }
             Some(shared) => {
-                if self.dirty_accts.is_empty()
-                    && self.dirty_colls.is_empty()
-                    && self.dirty_block == 0
-                {
-                    parole_telemetry::counter("state.root_clean_hits", 1);
-                    return shared.tree.root();
-                }
-                let dirty_records = self.dirty_accts.len()
-                    + self.dirty_colls.len()
-                    + usize::from(self.dirty_block != 0);
                 parole_telemetry::observe("state.dirty_records", dirty_records as u64);
                 // Copy-on-write: forks share the parent's clean cache until
                 // one side actually flushes new dirt through it.
@@ -935,7 +775,7 @@ impl CommitSlot {
                     accounts,
                     collections,
                     block,
-                    self.dirty_block != 0,
+                    self.dirty_block,
                     &self.dirty_accts,
                     &self.dirty_colls,
                 );
@@ -943,13 +783,12 @@ impl CommitSlot {
                 parole_telemetry::observe("state.leaves_derived", stats.derived_leaves as u64);
                 parole_telemetry::observe("state.coll_leaves_flushed", stats.coll_leaves as u64);
                 parole_telemetry::observe("state.token_leaves_flushed", stats.token_leaves as u64);
-                self.dirty_accts.clear();
-                self.dirty_colls.clear();
-                self.dirty_block = 0;
-                self.hwm = journal_len;
                 cache.tree.root()
             }
         };
+        self.dirty_accts.clear();
+        self.dirty_colls.clear();
+        self.dirty_block = false;
         // Both reads happen on this thread with no flush in between, so the
         // delta is exactly this call's digest count.
         let keccak_delta = parole_telemetry::local_counter("crypto.keccak256") - keccak_before;
@@ -965,9 +804,8 @@ impl CommitSlot {
         accounts: &AccountTable,
         collections: &CollTable,
         block: BlockNumber,
-        journal_len: usize,
     ) -> &CommitCache {
-        let _ = self.root(accounts, collections, block, journal_len);
+        let _ = self.root(accounts, collections, block);
         self.cache.as_ref().expect("root() materialized the cache")
     }
 
@@ -979,10 +817,9 @@ impl CommitSlot {
         accounts: &AccountTable,
         collections: &CollTable,
         block: BlockNumber,
-        journal_len: usize,
         who: Address,
     ) -> Option<MerkleProof> {
-        let cache = self.fresh_cache(accounts, collections, block, journal_len);
+        let cache = self.fresh_cache(accounts, collections, block);
         let pos = cache.keys.acct_keys.binary_search(&who).ok()?;
         let source = cache.keys.leaves(accounts, collections, block);
         cache.tree.prove(1 + pos, |i| source.preimage(i))
@@ -996,10 +833,9 @@ impl CommitSlot {
         accounts: &AccountTable,
         collections: &CollTable,
         block: BlockNumber,
-        journal_len: usize,
         addr: Address,
     ) -> Option<(Hash32, MerkleProof)> {
-        let cache = self.fresh_cache(accounts, collections, block, journal_len);
+        let cache = self.fresh_cache(accounts, collections, block);
         let pos = cache.keys.coll_keys.binary_search(&addr).ok()?;
         let sub_root = cache.keys.coll_subs[pos].root();
         let source = cache.keys.leaves(accounts, collections, block);
@@ -1018,11 +854,10 @@ impl CommitSlot {
         accounts: &AccountTable,
         collections: &CollTable,
         block: BlockNumber,
-        journal_len: usize,
         addr: Address,
         token: TokenId,
     ) -> Option<(MerkleProof, MerkleProof)> {
-        let cache = self.fresh_cache(accounts, collections, block, journal_len);
+        let cache = self.fresh_cache(accounts, collections, block);
         let pos = cache.keys.coll_keys.binary_search(&addr).ok()?;
         let sub = &cache.keys.coll_subs[pos];
         let token_pos = sub.tokens.binary_search(&token).ok()?;

@@ -106,16 +106,12 @@ pub struct L2State {
 
 impl Clone for L2State {
     fn clone(&self) -> Self {
-        let mut slot = self.commit_slot().clone();
-        // The fork starts with a fresh, empty journal: its undo indices
-        // restart at 0, so the rollback high-water mark must too.
-        slot.reset_hwm_for_fork();
         L2State {
             accounts: self.accounts.clone(),
             collections: self.collections.clone(),
             block: self.block,
             journal: Journal::default(),
-            commit: Mutex::new(slot),
+            commit: Mutex::new(self.commit_slot().clone()),
         }
     }
 }
@@ -286,16 +282,13 @@ impl L2State {
             parole_telemetry::counter("state.reverts", 1);
             parole_telemetry::observe("state.revert_depth", depth as u64);
         }
+        // A rollback rewrites records like any other mutation, so it marks
+        // each one dirty through the same hook the forward mutation used.
+        let slot = Self::slot_mut(&mut self.commit);
         while self.journal.entries.len() > target {
-            // A rollback is a mutation as far as the commitment cache is
-            // concerned — but an *inverse* one: undoing an entry journaled
-            // after the last flush cancels that entry's dirty mark, and a
-            // record whose marks all cancel is restored to its committed
-            // value and needs no re-hash (see `CommitSlot`).
-            let index = self.journal.entries.len() - 1;
             match self.journal.entries.pop().expect("length checked") {
                 JournalEntry::Account { who, prev } => {
-                    Self::slot_mut(&mut self.commit).unmark_acct(who, index);
+                    slot.mark_acct(who);
                     match prev {
                         Some(acct) => {
                             self.accounts.insert(who, acct);
@@ -306,22 +299,22 @@ impl L2State {
                     }
                 }
                 JournalEntry::Block { prev } => {
-                    Self::slot_mut(&mut self.commit).unmark_block(index);
+                    slot.mark_block();
                     self.block = prev;
                 }
                 JournalEntry::CollectionDeployed { addr } => {
-                    Self::slot_mut(&mut self.commit).unmark_coll(addr, index);
+                    slot.mark_coll(addr);
                     self.collections.remove(&addr);
                 }
                 JournalEntry::TokenOp { addr, undo } => {
-                    Self::slot_mut(&mut self.commit).unmark_coll_token(addr, undo.token(), index);
+                    slot.mark_coll_token(addr, undo.token());
                     self.collections
                         .get_mut(&addr)
                         .expect("journaled collection exists")
                         .apply_undo(undo);
                 }
                 JournalEntry::OperatorOp { addr, undo } => {
-                    Self::slot_mut(&mut self.commit).unmark_coll_header(addr, index);
+                    slot.mark_coll_header(addr);
                     self.collections
                         .get_mut(&addr)
                         .expect("journaled collection exists")
@@ -329,7 +322,6 @@ impl L2State {
                 }
             }
         }
-        Self::slot_mut(&mut self.commit).journal_truncated(target);
     }
 
     /// Commitment-slot access that borrows only the `commit` field, so call
@@ -724,12 +716,8 @@ impl L2State {
     /// replay proptests in `tests/prop.rs` pin the equality down across
     /// mutations, forks and undo-log rollbacks.
     pub fn state_root(&self) -> Hash32 {
-        self.commit_slot().root(
-            &self.accounts,
-            &self.collections,
-            self.block,
-            self.journal.entries.len(),
-        )
+        self.commit_slot()
+            .root(&self.accounts, &self.collections, self.block)
     }
 
     /// Recomputes the state root from scratch: every record re-encoded and
@@ -828,13 +816,9 @@ impl L2State {
     /// needs only the bare root.
     pub fn prove_account(&self, who: Address) -> Option<crate::AccountInclusionProof> {
         let account = *self.accounts.get(&who)?;
-        let path = self.commit_slot().prove_acct(
-            &self.accounts,
-            &self.collections,
-            self.block,
-            self.journal.entries.len(),
-            who,
-        )?;
+        let path =
+            self.commit_slot()
+                .prove_acct(&self.accounts, &self.collections, self.block, who)?;
         Some(crate::AccountInclusionProof {
             address: who,
             account,
@@ -852,7 +836,6 @@ impl L2State {
             &self.accounts,
             &self.collections,
             self.block,
-            self.journal.entries.len(),
             collection,
         )?;
         Some(crate::CollectionInclusionProof {
@@ -881,7 +864,6 @@ impl L2State {
             &self.accounts,
             &self.collections,
             self.block,
-            self.journal.entries.len(),
             collection,
             token,
         )?;
@@ -981,9 +963,9 @@ impl L2State {
         self.commit_slot().resident_nodes()
     }
 
-    /// Number of records currently marked dirty in the commitment slot.
-    /// Test/telemetry hook for asserting that rollbacks cancel dirty marks;
-    /// not part of the stable API.
+    /// Number of records currently marked dirty in the commitment slot: the
+    /// records the next `state_root()` re-hashes. Test hook, not part of
+    /// the stable API.
     #[doc(hidden)]
     pub fn dirty_record_count(&self) -> usize {
         self.commit_slot().dirty_records()

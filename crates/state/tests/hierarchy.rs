@@ -64,9 +64,11 @@ fn approval_revert_restores_root_and_cleans_dirt() {
     assert_eq!(s.dirty_record_count(), 1);
     s.revert_to(cp);
 
-    // The token-granular mark cancelled: nothing left to re-hash.
-    assert_eq!(s.dirty_record_count(), 0);
+    // The rollback marks the token it rewrote; the next root re-derives
+    // that leaf to its committed value and cleans the dirt.
+    assert_eq!(s.dirty_record_count(), 1);
     assert_eq!(s.state_root(), root_before);
+    assert_eq!(s.dirty_record_count(), 0);
     assert_eq!(s.state_root(), s.state_root_naive());
 }
 
@@ -101,14 +103,14 @@ fn mixed_token_and_deploy_rollbacks_agree_with_naive() {
     s.nft_mint(fresh, addr(5), TokenId::new(3))
         .unwrap()
         .unwrap();
-    let _ = s.state_root(); // flush mid-journal: hwm moves past every entry
+    let _ = s.state_root(); // flush mid-journal
     s.nft_mint(fresh, addr(6), TokenId::new(4))
         .unwrap()
         .unwrap();
     s.nft_approve(pt, addr(4), addr(6), TokenId::new(0))
         .unwrap()
         .unwrap();
-    s.revert_to(cp); // crosses the flush point: sticky at both levels
+    s.revert_to(cp); // crosses the flush point at both levels
     assert_eq!(s.state_root(), s.state_root_naive());
     assert_eq!(
         s.collection(pt).unwrap().owner_of(TokenId::new(0)),

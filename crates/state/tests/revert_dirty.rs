@@ -1,6 +1,7 @@
-//! Regression tests for rollback-aware dirty tracking (ROADMAP follow-up):
-//! `revert_to` must *cancel* the dirty marks of mutations it exactly
-//! undoes, instead of conservatively re-dirtying every restored record.
+//! Regression tests for rollback dirt: `revert_to` marks every record it
+//! rewrites through the same hook a forward mutation uses, so the next
+//! `state_root()` re-derives each one, back to its committed leaf when
+//! the rollback restored it.
 
 use parole_nft::CollectionConfig;
 use parole_primitives::{Address, TokenId, Wei};
@@ -26,7 +27,7 @@ fn fixture() -> (L2State, Address) {
 }
 
 #[test]
-fn full_revert_cancels_all_dirty_marks() {
+fn full_revert_restores_the_committed_root() {
     let (mut s, pt) = fixture();
     assert_eq!(s.dirty_record_count(), 0);
     let root_before = s.state_root();
@@ -40,13 +41,16 @@ fn full_revert_cancels_all_dirty_marks() {
         .unwrap()
         .unwrap();
     s.nft_mint(pt, addr(4), TokenId::new(9)).unwrap().unwrap();
-    assert!(s.dirty_record_count() > 0);
+    // Four accounts and one collection.
+    assert_eq!(s.dirty_record_count(), 5);
 
     s.revert_to(cp);
-    // Every mutation since the flush was exactly undone: nothing left to
-    // re-hash, so the next state_root() is a clean cache hit.
-    assert_eq!(s.dirty_record_count(), 0);
+    // The rollback rewrote every touched record, so every one stays dirty
+    // (the fresh account too, though it is gone), and the next flush
+    // re-derives them to exactly the committed root.
+    assert_eq!(s.dirty_record_count(), 5);
     assert_eq!(s.state_root(), root_before);
+    assert_eq!(s.dirty_record_count(), 0);
     assert_eq!(s.state_root(), s.state_root_naive());
 }
 
@@ -60,15 +64,17 @@ fn partial_revert_keeps_surviving_dirt() {
     s.credit(addr(1), Wei::from_gwei(1));
     s.revert_to(cp);
 
-    // addr(1)'s mark cancelled, addr(0)'s survives.
-    assert_eq!(s.dirty_record_count(), 1);
+    // addr(0)'s mark survives; the rollback marked addr(1).
+    assert_eq!(s.dirty_record_count(), 2);
     assert_eq!(s.state_root(), s.state_root_naive());
+    assert_eq!(s.balance_of(addr(1)), Wei::from_eth(1));
 }
 
 #[test]
 fn revert_past_flush_point_stays_dirty() {
-    // Entries journaled *before* the cache flush have no live forward mark;
-    // undoing them must sticky-dirty the record, never clean it.
+    // An entry journaled *before* the cache flush restores a value that
+    // differs from the committed leaf: undoing it must leave the record
+    // dirty.
     let mut s = L2State::new();
     for i in 0..4 {
         s.credit(addr(i), Wei::from_eth(1));
@@ -76,13 +82,12 @@ fn revert_past_flush_point_stays_dirty() {
     s.begin_recording();
     let cp = s.checkpoint();
     s.credit(addr(0), Wei::from_gwei(7)); // journaled pre-flush
-    let _ = s.state_root(); // flush consumes addr(0)'s mark, hwm moves up
+    let committed = s.state_root(); // the flush commits addr(0)'s credit
     s.credit(addr(1), Wei::from_gwei(3)); // journaled post-flush
 
     s.revert_to(cp); // undoes both entries, crossing the flush point
-                     // addr(1) cleans (post-flush mark cancelled); addr(0) must remain
-                     // dirty — its restored value differs from the committed leaf.
-    assert_eq!(s.dirty_record_count(), 1);
+    assert_eq!(s.dirty_record_count(), 2);
+    assert_ne!(s.state_root(), committed);
     assert_eq!(s.state_root(), s.state_root_naive());
 }
 
@@ -96,18 +101,19 @@ fn fork_rollbacks_track_dirt_against_fresh_journal() {
     fork.credit(addr(7), Wei::from_gwei(1));
     fork.credit(addr(8), Wei::from_gwei(1));
     fork.revert_to(cp);
-    // The fork's own mutations cancelled; the inherited parent-era dirt on
-    // addr(7) must survive (it was never undone).
-    assert_eq!(fork.dirty_record_count(), 1);
+    // The fork inherits addr(7)'s parent-era mark, and its rollback marks
+    // both accounts it rewrote.
+    assert_eq!(fork.dirty_record_count(), 2);
     assert_eq!(fork.state_root(), fork.state_root_naive());
     assert_eq!(s.state_root(), s.state_root_naive());
+    assert_eq!(fork.state_root(), s.state_root());
 }
 
 #[test]
-fn token_level_revert_cancels_token_dirt() {
-    // The hierarchical cache tracks dirt per token: a speculative burst of
-    // per-token ops that fully rolls back must leave the collection clean,
-    // not whole-collection sticky.
+fn token_level_revert_restores_the_committed_root() {
+    // Dirt is tracked per token: a speculative burst of per-token ops that
+    // fully rolls back leaves the collection's token marks, not a
+    // whole-collection rebuild, and the flush lands on the committed root.
     let (mut s, pt) = fixture();
     assert_eq!(s.dirty_record_count(), 0);
     let root_before = s.state_root();
@@ -125,28 +131,27 @@ fn token_level_revert_cancels_token_dirt() {
     assert_eq!(s.dirty_record_count(), 1);
 
     s.revert_to(cp);
-    assert_eq!(s.dirty_record_count(), 0);
+    assert_eq!(s.dirty_record_count(), 1);
     assert_eq!(s.state_root(), root_before);
     assert_eq!(s.state_root(), s.state_root_naive());
 }
 
 #[test]
 fn token_revert_past_flush_point_stays_dirty() {
-    // A per-token entry journaled before the flush has no live forward
-    // mark; undoing it must sticky-dirty that token, never clean it.
+    // A per-token entry journaled before the flush restores an owner the
+    // committed sub-tree leaf does not hold: undoing it must leave that
+    // token dirty.
     let (mut s, pt) = fixture();
     let cp = s.checkpoint();
     s.nft_transfer(pt, addr(0), addr(3), TokenId::new(0))
         .unwrap()
         .unwrap();
-    let _ = s.state_root(); // flush consumes token 0's mark, hwm moves up
+    let _ = s.state_root(); // the flush commits token 0's new owner
     s.nft_approve(pt, addr(1), addr(9), TokenId::new(1))
         .unwrap()
         .unwrap();
 
     s.revert_to(cp); // undoes both token entries, crossing the flush point
-                     // Token 1 cleans (post-flush mark cancelled); token 0 must remain
-                     // dirty — its restored owner differs from the committed sub-tree leaf.
     assert_eq!(s.dirty_record_count(), 1);
     assert_eq!(s.state_root(), s.state_root_naive());
     assert_eq!(
@@ -163,9 +168,9 @@ fn interleaved_checkpoints_and_flushes_stay_consistent() {
     let _ = s.state_root(); // flush mid-journal
     let cp1 = s.checkpoint();
     s.nft_burn(pt, addr(0), TokenId::new(9)).unwrap().unwrap();
-    s.revert_to(cp1); // post-flush layer cancels
+    s.revert_to(cp1); // stays after the flush point
     assert_eq!(s.state_root(), s.state_root_naive());
-    s.revert_to(cp0); // crosses the flush point: sticky path
+    s.revert_to(cp0); // crosses the flush point
     assert_eq!(s.state_root(), s.state_root_naive());
     assert!(s
         .collection(pt)

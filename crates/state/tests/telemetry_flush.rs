@@ -1,6 +1,7 @@
-//! Telemetry-armed regression for the rollback-aware dirty tracking: the
+//! Telemetry-armed regression for flush accounting: the
 //! `state.leaves_flushed` histogram shows that a fully-reverted window
-//! flushes zero leaves, and the per-root keccak counter is live.
+//! flushes exactly the leaves it touched, back to the committed root, and
+//! the per-root keccak counter is live.
 //!
 //! Single `#[test]` on purpose: the metrics registry is process-global and
 //! this integration binary owns it outright.
@@ -16,38 +17,40 @@ fn addr(v: u64) -> Address {
 }
 
 #[test]
-fn reverted_window_flushes_zero_leaves() {
+fn reverted_window_flushes_the_leaves_it_touched() {
     let mut s = L2State::new();
     for i in 0..50 {
         s.credit(addr(i), Wei::from_eth(1));
     }
     s.begin_recording();
-    let _ = s.state_root(); // build the cache outside the measured window
+    let committed = s.state_root(); // build the cache outside the measured window
 
     tel::reset();
 
-    // A speculative window that fully rolls back: with rollback-aware dirty
-    // tracking the subsequent state_root() is a clean hit, no flush at all.
+    // A speculative window that fully rolls back: the rollback marks every
+    // account it rewrites, so the next state_root() flushes the window's
+    // touched leaves, back to the committed root.
     let cp = s.checkpoint();
     for i in 0..10 {
         s.transfer_balance(addr(i), addr(i + 10), Wei::from_gwei(1))
             .unwrap();
     }
     s.revert_to(cp);
-    let _ = s.state_root();
+    assert_eq!(s.state_root(), committed);
 
     let snap = tel::snapshot();
-    assert_eq!(snap.counter("state.root_clean_hits"), 1);
-    assert!(
-        snap.histogram("state.leaves_flushed").is_none(),
-        "a fully-reverted window must flush no leaves; got {:?}",
-        snap.histogram("state.leaves_flushed")
-    );
+    assert_eq!(snap.counter("state.root_clean_hits"), 0);
+    let flushed = snap
+        .histogram("state.leaves_flushed")
+        .expect("a reverted window flushes what it touched");
+    assert_eq!(flushed.count, 1);
+    assert_eq!(flushed.sum, 20, "10 transfers touch 20 accounts");
     assert_eq!(snap.counter("state.reverts"), 1);
     assert_eq!(snap.histogram("state.revert_depth").unwrap().max, 20);
+    assert_eq!(s.state_root(), s.state_root_naive());
 
-    // Control: the same window *without* the revert flushes its dirty
-    // leaves and pays keccak digests for them.
+    // The same window *without* the revert flushes the same leaves and
+    // pays keccak digests for them.
     tel::reset();
     for i in 0..10 {
         s.transfer_balance(addr(i), addr(i + 10), Wei::from_gwei(1))
