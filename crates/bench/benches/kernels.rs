@@ -263,12 +263,11 @@ fn bench_mempool(c: &mut Criterion) {
 }
 
 fn bench_calldata(c: &mut Criterion) {
-    use parole_primitives::{AggregatorId, Hash32};
+    use parole_ovm::{NftTransaction, TxKind};
+    use parole_primitives::{Address, AggregatorId, Hash32, TokenId};
     use parole_rollup::{calldata, Batch, StateCommitment};
 
-    let economy = Economy::build(50, 1, 3);
-    let txs = economy.window(50, 3);
-    let batch = Batch {
+    let batch_of = |txs: Vec<NftTransaction>| Batch {
         aggregator: AggregatorId::new(0),
         commitment: StateCommitment {
             pre_state_root: Hash32::ZERO,
@@ -278,13 +277,48 @@ fn bench_calldata(c: &mut Criterion) {
         txs,
         receipts: vec![],
     };
+    let economy = Economy::build(50, 1, 3);
+    // The `signed` pipeline's block shape: random 20-byte senders and
+    // recipients, and the marketplace mix over a few collections.
+    let random = |i: u64| {
+        let digest = keccak256(&i.to_be_bytes());
+        Address::from_bytes(digest.as_bytes()[12..].try_into().unwrap())
+    };
+    let signed = (0..16u64)
+        .map(|i| {
+            let collection = random(1_000 + i % 5);
+            let token = TokenId::new(37 * i % 500);
+            let kind = match i % 5 {
+                0 => TxKind::Mint { collection, token },
+                1 => TxKind::List {
+                    collection,
+                    token,
+                    price: Wei::from_milli_eth(10 + i),
+                },
+                2 => TxKind::Buy { collection, token },
+                3 => TxKind::Transfer {
+                    collection,
+                    token,
+                    to: random(2_000 + i),
+                },
+                _ => TxKind::CancelListing { collection, token },
+            };
+            NftTransaction::simple(random(i), kind)
+        })
+        .collect();
+    let inputs = [
+        ("50tx", batch_of(economy.window(50, 3))),
+        ("signed_16tx", batch_of(signed)),
+    ];
     let mut group = c.benchmark_group("calldata");
-    group.bench_function("encode_compress_50tx", |b| {
-        b.iter(|| calldata::compress(&calldata::encode_batch(black_box(&batch))))
-    });
-    group.bench_function("posting_cost_50tx", |b| {
-        b.iter(|| calldata::batch_posting_cost(black_box(&batch)))
-    });
+    for (name, batch) in &inputs {
+        group.bench_function(format!("encode_compress_{name}"), |b| {
+            b.iter(|| calldata::compress(&calldata::encode_batch(black_box(batch))))
+        });
+        group.bench_function(format!("posting_cost_{name}"), |b| {
+            b.iter(|| calldata::batch_posting_cost(black_box(batch)))
+        });
+    }
     group.finish();
 }
 

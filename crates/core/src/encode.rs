@@ -52,7 +52,27 @@ pub fn pair_from_index(index: usize, n: usize) -> (usize, usize) {
     unreachable!("index was range-checked");
 }
 
-/// Encodes one transaction (with its execution receipt from the *current*
+/// What a transaction's features read of its execution at its slot in the
+/// *current* candidate ordering: two fields of its receipt.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SlotOutcome {
+    /// Bonding-curve price observed before it executed.
+    pub price_before: Wei,
+    /// Whether it executed successfully.
+    pub success: bool,
+}
+
+impl SlotOutcome {
+    /// The two fields of `receipt` the features read.
+    pub fn of(receipt: &Receipt) -> Self {
+        SlotOutcome {
+            price_before: receipt.price_before,
+            success: receipt.is_success(),
+        }
+    }
+}
+
+/// Encodes one transaction (with its execution outcome in the *current*
 /// candidate ordering) into its feature vector.
 ///
 /// Features, in order:
@@ -64,7 +84,7 @@ pub fn pair_from_index(index: usize, n: usize) -> (usize, usize) {
 /// - 8: its normalized position in the sequence.
 pub fn encode_tx(
     tx: &NftTransaction,
-    receipt: &Receipt,
+    outcome: SlotOutcome,
     supply_after: u64,
     max_supply: u64,
     position: usize,
@@ -84,13 +104,13 @@ pub fn encode_tx(
         is_mint,
         is_transfer,
         is_burn,
-        receipt.price_before.eth_f64(),
+        outcome.price_before.eth_f64(),
         if max_supply == 0 {
             0.0
         } else {
             supply_after as f64 / max_supply as f64
         },
-        receipt.is_success() as u8 as f64,
+        outcome.success as u8 as f64,
         if n <= 1 {
             0.0
         } else {

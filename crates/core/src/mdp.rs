@@ -15,12 +15,14 @@
 //! executing. A swap that makes any transaction revert is penalized and
 //! undone, keeping the search inside the feasible region.
 
-use crate::encode::{self, pair_from_index, FEATURES_PER_TX};
+use crate::encode::{self, pair_from_index, SlotOutcome, FEATURES_PER_TX};
+use parole_crypto::Hash32;
 use parole_drl::{Environment, StepOutcome};
-use parole_ovm::{NftTransaction, Ovm, PrefixExecutor, Receipt};
+use parole_ovm::{NftTransaction, Ovm, PrefixExecutor};
 use parole_primitives::{Address, Wei, WeiDelta};
 use parole_state::L2State;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// The swap-action space the agent moves in.
 ///
@@ -67,7 +69,10 @@ impl Default for RewardConfig {
 /// Evaluation artifacts for one candidate ordering.
 #[derive(Debug, Clone)]
 struct Evaluation {
-    receipts: Vec<Receipt>,
+    /// Per slot of the ordering, what the observation reads of the
+    /// receipt (the receipts themselves, with their logs and blooms, are
+    /// not kept).
+    slots: Vec<SlotOutcome>,
     final_balance: Wei,
     /// `executed[k]` is true when the transaction with *original index* `k`
     /// executed successfully in this ordering.
@@ -100,6 +105,10 @@ pub struct ReorderEnv {
     /// Which original indices executed successfully under the original
     /// order — the validity baseline candidate orderings must preserve.
     original_executed: Vec<bool>,
+    /// Per tx hash of the window: how many copies it holds, and how many
+    /// of them executed under the original order — what
+    /// [`ReorderEnv::balance_of_order`] matches an explicit order against.
+    copies: HashMap<Hash32, (usize, usize)>,
     /// Final IFU balance under the original order (`B^{N,0}`).
     original_balance: Wei,
     /// Bonding-curve scale hints for feature normalization.
@@ -172,11 +181,12 @@ impl ReorderEnv {
             scratch_seq: Vec::new(),
             current: identity.clone(),
             cached: Evaluation {
-                receipts: Vec::new(),
+                slots: Vec::new(),
                 final_balance: Wei::ZERO,
                 executed: Vec::new(),
             },
             original_executed: Vec::new(),
+            copies: HashMap::new(),
             original_balance: Wei::ZERO,
             max_supply,
             base_remaining,
@@ -188,6 +198,11 @@ impl ReorderEnv {
         };
         env.cached = env.evaluate_current();
         env.original_executed = env.cached.executed.clone();
+        for (tx, &executed) in env.original.iter().zip(&env.original_executed) {
+            let (copies, executed_copies) = env.copies.entry(tx.tx_hash()).or_default();
+            *copies += 1;
+            *executed_copies += usize::from(executed);
+        }
         env.original_balance = env.cached.final_balance;
         env.best = (identity, env.original_balance);
         env
@@ -269,14 +284,14 @@ impl ReorderEnv {
             }
         }
         let final_balance = self.ifus.iter().map(|&u| post.total_balance_of(u)).sum();
-        let receipts = receipts.to_vec();
+        let slots: Vec<SlotOutcome> = receipts.iter().map(SlotOutcome::of).collect();
 
         let mut executed = vec![false; self.current.len()];
-        for (slot, receipt) in receipts.iter().enumerate() {
-            executed[self.current[slot]] = receipt.is_success();
+        for (slot, outcome) in slots.iter().enumerate() {
+            executed[self.current[slot]] = outcome.success;
         }
         Evaluation {
-            receipts,
+            slots,
             final_balance,
             executed,
         }
@@ -293,26 +308,27 @@ impl ReorderEnv {
 
     /// Evaluates an explicit transaction order (utility for solvers and the
     /// defense module). Returns `None` when the order is not a permutation of
-    /// the window, or reverts somewhere while `require_all_executed` is set.
+    /// the window (the same transactions, by hash, each as many times), or,
+    /// while `require_all_executed` is set, when it executes fewer copies of
+    /// some transaction than the original order did.
     pub fn balance_of_order(&self, seq: &[NftTransaction]) -> Option<Wei> {
         if seq.len() != self.original.len() {
             return None;
         }
         let (receipts, post) = self.ovm.simulate_sequence(&self.base_state, seq);
-        if self.reward.require_all_executed {
-            // Match each receipt back to its original index by tx hash.
-            let ok = receipts.iter().zip(seq).all(|(r, tx)| {
-                r.is_success()
-                    || self
-                        .original
-                        .iter()
-                        .position(|o| o.tx_hash() == tx.tx_hash())
-                        .map(|idx| !self.original_executed[idx])
-                        .unwrap_or(false)
-            });
-            if !ok {
-                return None;
+        // Match each receipt to an unmatched copy of its transaction; any
+        // copy still owed an execution after the last receipt breaks the
+        // validity rule.
+        let mut unmatched = self.copies.clone();
+        for receipt in &receipts {
+            let (copies, owed) = unmatched.get_mut(&receipt.tx_hash)?;
+            *copies = copies.checked_sub(1)?;
+            if receipt.is_success() {
+                *owed = owed.saturating_sub(1);
             }
+        }
+        if self.reward.require_all_executed && unmatched.values().any(|&(_, owed)| owed > 0) {
+            return None;
         }
         Some(self.ifus.iter().map(|&u| post.total_balance_of(u)).sum())
     }
@@ -322,11 +338,10 @@ impl ReorderEnv {
         let n = self.current.len();
         let mut obs = Vec::with_capacity(n * FEATURES_PER_TX);
         let mut supply = self.base_remaining;
-        for (pos, (&orig_idx, receipt)) in
-            self.current.iter().zip(&self.cached.receipts).enumerate()
+        for (pos, (&orig_idx, &outcome)) in self.current.iter().zip(&self.cached.slots).enumerate()
         {
             let tx = &self.original[orig_idx];
-            if receipt.is_success() {
+            if outcome.success {
                 // The OpSpec ledger's active-supply delta is exactly the
                 // remaining-supply movement, negated: a mint activates a
                 // token (remaining -1), a burn retires one (remaining +1).
@@ -339,7 +354,7 @@ impl ReorderEnv {
             }
             obs.extend_from_slice(&encode::encode_tx(
                 tx,
-                receipt,
+                outcome,
                 supply,
                 self.max_supply,
                 pos,
@@ -628,5 +643,34 @@ mod tests {
     fn balance_of_order_rejects_wrong_length() {
         let env = tiny_env();
         assert!(env.balance_of_order(&env.original_window()[..2]).is_none());
+    }
+
+    #[test]
+    fn balance_of_order_matches_duplicate_transactions() {
+        let mut state = L2State::new();
+        let pt = state.deploy_collection(CollectionConfig::parole_token());
+        let ifu = addr(1000);
+        state.credit(ifu, Wei::from_eth(5));
+        let mint = |token| {
+            NftTransaction::simple(
+                ifu,
+                TxKind::Mint {
+                    collection: pt,
+                    token: TokenId::new(token),
+                },
+            )
+        };
+        // The second copy of mint(3) reverts under the original order.
+        let window = vec![mint(3), mint(4), mint(3)];
+        let env = ReorderEnv::new(state, window.clone(), vec![ifu], RewardConfig::default());
+        assert_eq!(env.balance_of_order(&window), Some(env.original_balance()));
+        // Either copy may be the one that executes.
+        assert_eq!(
+            env.balance_of_order(&[mint(3), mint(3), mint(4)]),
+            Some(env.original_balance())
+        );
+        // Not permutations: a foreign transaction, or a third copy.
+        assert_eq!(env.balance_of_order(&[mint(3), mint(4), mint(5)]), None);
+        assert_eq!(env.balance_of_order(&[mint(3), mint(3), mint(3)]), None);
     }
 }

@@ -58,7 +58,7 @@ pub use gas::GasSchedule;
 pub use logs::{
     BlockLogs, Bloom, EventKind, LogEntry, LogFilter, LogHit, LogIndex, ReceiptLogs, BLOOM_BYTES,
 };
-pub use opspec::{LedgerDelta, OpSpec};
+pub use opspec::{LedgerDelta, OpSpec, WireField};
 pub use prefix::{PrefixExecutor, PrefixStats};
 pub use receipt::{Receipt, RevertReason, TxStatus};
 pub use tx::{NftTransaction, TxAuth, TxKind};

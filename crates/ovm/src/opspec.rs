@@ -14,6 +14,8 @@
 //!
 //! - identity: the stable [`OpSpec::wire_tag`] (calldata and tx-hash
 //!   encodings) and [`OpSpec::label`];
+//! - wire shape: the [`WireField`]s [`TxKind::encode_fields`] writes after
+//!   the collection address, which the L1 calldata codec walks;
 //! - gas: accessors into the [`GasSchedule`] for cost and wallet limit;
 //! - observability: the exact [`EventKind`]s a successful execution may
 //!   emit (a debug assertion in the executor pins emission to the
@@ -54,6 +56,32 @@ impl LedgerDelta {
     };
 }
 
+/// One field of an operation's wire payload: what
+/// [`TxKind::encode_fields`] writes after the collection address.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireField {
+    /// A token id: 8 bytes, big-endian.
+    Token,
+    /// An account address (a recipient or an operator): 20 bytes.
+    Address,
+    /// A wei amount: 16 bytes, big-endian.
+    Price,
+    /// A boolean: one byte, 0 or 1.
+    Flag,
+}
+
+impl WireField {
+    /// Bytes the field takes in [`TxKind::encode_fields`] output.
+    pub const fn width(self) -> usize {
+        match self {
+            WireField::Token => 8,
+            WireField::Address => 20,
+            WireField::Price => 16,
+            WireField::Flag => 1,
+        }
+    }
+}
+
 /// Everything one [`TxKind`] declares about itself, in one place.
 pub struct OpSpec {
     /// Short label for displays, feature encodings and bench reports.
@@ -61,6 +89,10 @@ pub struct OpSpec {
     /// Stable one-byte tag used by both the signed tx encoding and the L1
     /// calldata batch encoding.
     pub wire_tag: u8,
+    /// The fields [`TxKind::encode_fields`] writes after the collection
+    /// address, in order. The L1 calldata codec converts the payload
+    /// field by field through this list.
+    pub fields: &'static [WireField],
     /// Gas consumed by the operation.
     pub gas: fn(&GasSchedule) -> Gas,
     /// Gas limit a wallet attaches to the operation.
@@ -115,6 +147,7 @@ impl TxKind {
 static MINT: OpSpec = OpSpec {
     label: "mint",
     wire_tag: 0,
+    fields: &[WireField::Token],
     gas: |s| s.mint_gas,
     gas_limit: |s| s.mint_limit,
     events: &[EventKind::Transfer, EventKind::PriceChanged],
@@ -129,6 +162,7 @@ static MINT: OpSpec = OpSpec {
 static TRANSFER: OpSpec = OpSpec {
     label: "transfer",
     wire_tag: 1,
+    fields: &[WireField::Token, WireField::Address],
     gas: |s| s.transfer_gas,
     gas_limit: |s| s.transfer_limit,
     events: &[EventKind::Transfer],
@@ -142,6 +176,7 @@ static TRANSFER: OpSpec = OpSpec {
 static BURN: OpSpec = OpSpec {
     label: "burn",
     wire_tag: 2,
+    fields: &[WireField::Token],
     gas: |s| s.burn_gas,
     gas_limit: |s| s.burn_limit,
     events: &[EventKind::Transfer, EventKind::PriceChanged],
@@ -156,6 +191,7 @@ static BURN: OpSpec = OpSpec {
 static APPROVE: OpSpec = OpSpec {
     label: "approve",
     wire_tag: 3,
+    fields: &[WireField::Token, WireField::Address],
     gas: |s| s.approve_gas,
     gas_limit: |s| s.approve_limit,
     events: &[EventKind::Approval],
@@ -166,6 +202,7 @@ static APPROVE: OpSpec = OpSpec {
 static SET_APPROVAL_FOR_ALL: OpSpec = OpSpec {
     label: "set_approval_for_all",
     wire_tag: 4,
+    fields: &[WireField::Address, WireField::Flag],
     gas: |s| s.operator_approval_gas,
     gas_limit: |s| s.operator_approval_limit,
     events: &[EventKind::ApprovalForAll],
@@ -176,6 +213,7 @@ static SET_APPROVAL_FOR_ALL: OpSpec = OpSpec {
 static LIST: OpSpec = OpSpec {
     label: "list",
     wire_tag: 5,
+    fields: &[WireField::Token, WireField::Price],
     gas: |s| s.list_gas,
     gas_limit: |s| s.list_limit,
     events: &[EventKind::Listed],
@@ -186,6 +224,7 @@ static LIST: OpSpec = OpSpec {
 static CANCEL_LISTING: OpSpec = OpSpec {
     label: "cancel_listing",
     wire_tag: 6,
+    fields: &[WireField::Token],
     gas: |s| s.cancel_listing_gas,
     gas_limit: |s| s.cancel_listing_limit,
     events: &[EventKind::ListingCancelled],
@@ -196,6 +235,7 @@ static CANCEL_LISTING: OpSpec = OpSpec {
 static BUY: OpSpec = OpSpec {
     label: "buy",
     wire_tag: 7,
+    fields: &[WireField::Token],
     gas: |s| s.buy_gas,
     gas_limit: |s| s.buy_limit,
     events: &[EventKind::Sold],
@@ -512,6 +552,23 @@ mod tests {
         assert_eq!(tags.len(), TxKind::ALL_SPECS.len());
         let labels: BTreeSet<&str> = TxKind::ALL_SPECS.iter().map(|s| s.label).collect();
         assert_eq!(labels.len(), TxKind::ALL_SPECS.len());
+    }
+
+    #[test]
+    fn encode_fields_emits_the_declared_widths() {
+        for kind in sample_kinds() {
+            let spec = kind.spec();
+            let mut bytes = Vec::new();
+            kind.encode_fields(&mut bytes);
+            let declared: usize = spec.fields.iter().map(|f| f.width()).sum();
+            assert_eq!(
+                bytes.len(),
+                20 + declared,
+                "{}: the collection plus {:?}",
+                spec.label,
+                spec.fields
+            );
+        }
     }
 
     #[test]

@@ -131,11 +131,13 @@ impl TxKind {
         self.spec().label
     }
 
-    /// Appends the operation's wire fields — collection address plus the
-    /// per-kind payload — to `out`. The shared field codec: the signed tx
-    /// encoding and the L1 calldata batch encoding both emit
-    /// `spec().wire_tag` followed by exactly these bytes, and
-    /// [`TxKind::decode_fields`] is its exact inverse.
+    /// Appends the operation's wire fields — the 20-byte collection address,
+    /// then the per-kind payload its [`crate::OpSpec::fields`] declares — to
+    /// `out`, and [`TxKind::decode_fields`] is its exact inverse. The signed
+    /// tx encoding (and so the tx hash) emits `spec().wire_tag` followed by
+    /// exactly these bytes. The L1 calldata codec posts them in a compact
+    /// form instead: it reads them field by field through the declared list
+    /// and rebuilds them before decoding.
     pub fn encode_fields(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(self.collection().as_bytes());
         match self {

@@ -2,7 +2,7 @@
 //! lifecycle invariants and the fraud-proof game under random histories.
 
 use parole_nft::CollectionConfig;
-use parole_ovm::{NftTransaction, TxKind};
+use parole_ovm::{NftTransaction, TxKind, WireField};
 use parole_primitives::{Address, AggregatorId, TokenId, VerifierId, Wei};
 use parole_rollup::calldata;
 use parole_rollup::{Aggregator, Batch, RollupConfig, RollupContract, Verifier};
@@ -89,9 +89,49 @@ fn decode_rejects_or_roundtrips(data: &[u8]) -> bool {
     calldata::encode_batch(&batch) == data
 }
 
-/// Bytes of one posted record after its wire tag, per tag: the 20-byte
-/// sender, the 20-byte collection, then the kind's payload.
-const RECORD_LEN: [usize; 8] = [48, 68, 48, 68, 61, 64, 48, 48];
+/// A one-record batch written by hand from the layout rules, not through
+/// `encode_batch`: count 1; a head byte whose flags make the sender, the
+/// collection and any payload address literals; the sender and the
+/// collection; then each field the kind declares, drawn from `raw` in its
+/// canonical form. `None` for an unknown tag.
+fn hand_record(tag: u8, raw: &[u8]) -> Option<Vec<u8>> {
+    let spec = TxKind::spec_by_tag(tag)?;
+    let payload_address = spec.fields.contains(&WireField::Address);
+    let mut out = vec![1, tag | 0x10 | 3 << 5 | u8::from(payload_address) << 7];
+    let mut raw = raw.iter().copied().cycle();
+    let mut literals = 0u8;
+    for field in [WireField::Address; 2].iter().chain(spec.fields) {
+        match field {
+            WireField::Address => {
+                // Literals differ in their first byte, so none repeats.
+                literals += 1;
+                out.push(literals);
+                out.extend(raw.by_ref().take(19));
+            }
+            WireField::Token => {
+                // An id of any magnitude below 2^64, as varint(id + 1).
+                let id = u64::from_be_bytes(std::array::from_fn(|_| raw.next().unwrap()));
+                let mut v = u128::from(id >> (raw.next().unwrap() % 64)) + 1;
+                while v >= 0x80 {
+                    out.push(v as u8 | 0x80);
+                    v >>= 7;
+                }
+                out.push(v as u8);
+            }
+            WireField::Price => {
+                // Up to 16 significant bytes, the first nonzero.
+                let len = raw.next().unwrap() % 17;
+                out.push(len);
+                if len > 0 {
+                    out.push(raw.next().unwrap().max(1));
+                    out.extend(raw.by_ref().take(usize::from(len) - 1));
+                }
+            }
+            WireField::Flag => out.push(1 + raw.next().unwrap() % 2),
+        }
+    }
+    Some(out)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -105,24 +145,30 @@ proptest! {
         prop_assert!(decode_rejects_or_roundtrips(&data));
     }
 
-    /// The same contract for random tails behind a valid count and tag
-    /// prefix, so the per-kind field decoders see the bytes. Tail lengths
-    /// favour exact record sizes: a one-record batch of exactly the
-    /// kind's size decodes whatever the bytes, except that the
-    /// `setApprovalForAll` flag byte must be 0 or 1.
+    /// The same contract behind a valid count and a head byte whose flags
+    /// lean toward literals, so the field decoders see the random tail.
+    /// And a one-record batch written by hand, well formed for its kind,
+    /// decodes; truncated or with one byte changed, it is rejected or
+    /// canonical.
     #[test]
     fn decode_batch_is_total_behind_a_valid_prefix(
-        count in 0u32..4,
+        count in 0u8..4,
         tag in 0u8..=8,
+        flags in prop_oneof![Just(0x70u8), Just(0xf0u8), any::<u8>()],
         bytes in prop::collection::vec(any::<u8>(), 160),
-        len in prop_oneof![Just(48usize), Just(61usize), Just(64usize), Just(68usize), 0usize..160],
+        len in 0usize..160,
+        poke in (any::<usize>(), any::<u8>()),
     ) {
-        let mut data = count.to_be_bytes().to_vec();
-        data.push(tag);
+        let mut data = vec![count, tag | flags & 0xf0];
         data.extend_from_slice(&bytes[..len]);
         prop_assert!(decode_rejects_or_roundtrips(&data));
-        if count == 1 && tag != 4 && RECORD_LEN.get(tag as usize) == Some(&len) {
-            prop_assert!(calldata::decode_batch(&data).is_some());
+        if let Some(record) = hand_record(tag, &bytes) {
+            prop_assert!(calldata::decode_batch(&record).is_some());
+            prop_assert!(decode_rejects_or_roundtrips(&record[..len.min(record.len())]));
+            let mut poked = record;
+            let at = poke.0 % poked.len();
+            poked[at] = poke.1;
+            prop_assert!(decode_rejects_or_roundtrips(&poked));
         }
     }
 }
