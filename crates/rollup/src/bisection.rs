@@ -1,8 +1,9 @@
 //! The interactive bisection half of the fraud-proof game (paper §II-A).
 //!
 //! [`RollupContract::challenge`](crate::RollupContract::challenge)
-//! adjudicates by re-executing the whole batch — fine as a reference
-//! oracle, but not what an L1 contract can afford. This module implements
+//! adjudicates against the post-state of the contract's own whole-batch
+//! execution — fine as a reference verdict, but not what an L1 contract
+//! can afford. This module implements
 //! the protocol real optimistic rollups use instead:
 //!
 //! 1. both sides commit to an **execution trace** — the state root after
@@ -241,11 +242,6 @@ impl TracedExecution {
     /// `TracedExecution` need not pick between the two trait `trace()`s).
     pub fn trace(&self) -> &ExecutionTrace {
         &self.trace
-    }
-
-    /// The state after `i` transactions.
-    pub fn state_at(&self, i: usize) -> &L2State {
-        &self.states[i]
     }
 
     /// The final post-execution state (before the block advance).

@@ -1,11 +1,20 @@
 //! The optimistic rollup smart contract (ORSC).
+//!
+//! The contract keeps one state history. The staged state has every
+//! accepted action applied, and each pending action holds the staged state
+//! from just before it. So the oldest pending action's snapshot *is* the
+//! finalized state, and an action's post-state is the next action's
+//! snapshot (or the staged state). A batch executes once, at submission:
+//! finalization pops it and indexes the receipts of that execution, and a
+//! whole-batch challenge compares the claimed post-root with the state it
+//! produced.
 
 use crate::bisection::{
     bisect, settle_step, ChallengerSide, DefenderSide, DisputedStep, SettlementVerdict,
 };
 use crate::{Batch, BatchId, L1Chain};
 use parole_crypto::Hash32;
-use parole_ovm::{LogFilter, LogHit, LogIndex, Ovm};
+use parole_ovm::{LogFilter, LogHit, LogIndex, Ovm, Receipt};
 use parole_primitives::{Address, AggregatorId, BlockNumber, VerifierId, Wei};
 use parole_state::{L2State, RecordKey};
 use std::collections::{BTreeMap, VecDeque};
@@ -135,52 +144,51 @@ pub struct InteractiveChallenge {
 }
 
 /// A pending (not yet finalized) L2 action.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum PendingAction {
     /// A bridge deposit, finalized unconditionally (L1-forced inclusion).
     Deposit { user: Address, amount: Wei },
     /// A bridge withdrawal, likewise L1-forced.
     Withdraw { user: Address, amount: Wei },
-    /// A submitted batch awaiting its challenge window.
+    /// A submitted batch awaiting its challenge window, with the receipts
+    /// of the contract's one execution of it.
     Batch {
         id: BatchId,
         batch: Batch,
+        receipts: Vec<Receipt>,
         submitted_at: BlockNumber,
     },
 }
 
-/// The L1 smart contract coordinating the rollup (paper §V-A).
-///
-/// Holds the canonical (finalized) L2 state, the staged state (canonical
-/// plus every pending action), the pending queue with per-action pre-state
-/// snapshots for challenge rollback, participant bonds, and the simulated
-/// [`L1Chain`].
+/// The L1 smart contract coordinating the rollup (paper §V-A): one L2
+/// state history (see the module docs), participant bonds, and the
+/// simulated [`L1Chain`].
 pub struct RollupContract {
     config: RollupConfig,
     l1: L1Chain,
-    /// Finalized L2 state.
-    canonical: L2State,
-    /// Canonical + all pending actions applied.
+    /// Every accepted action applied, pending ones included.
     staged: L2State,
     /// Pending actions in submission order, each with the staged state as it
-    /// was *before* the action (for challenge rollback).
+    /// was *before* the action: the front's snapshot is the finalized
+    /// state, and an action's post-state is the next one's snapshot (or
+    /// `staged`).
     pending: VecDeque<(PendingAction, L2State)>,
     next_batch_id: BatchId,
     aggregator_bonds: BTreeMap<AggregatorId, Wei>,
     verifier_bonds: BTreeMap<VerifierId, Wei>,
     ovm: Ovm,
     /// Count of batches that finalized with a post-root different from
-    /// honest re-execution (undetected state forgery — only possible when no
-    /// verifier challenged in time).
+    /// the contract's own honest execution (undetected state forgery — only
+    /// possible when no verifier challenged in time).
     undetected_forgeries: u64,
     /// Total Wei destroyed by fraud slashes (the `slashed − reward`
     /// remainders). Part of the bond conservation equation the audit layer
     /// checks: every slashed Wei is either rewarded or burned.
     burned: Wei,
-    /// Log index over *finalized* batches: entries come from the contract's
-    /// own honest re-execution at finalization (never from aggregator-
-    /// claimed receipts), keyed by batch id. Rolled-back batches never
-    /// reach it.
+    /// Log index over *finalized* batches: entries are the receipts of the
+    /// contract's own execution at submission (never aggregator-claimed
+    /// receipts), added at finalization and keyed by batch id. Rolled-back
+    /// batches never reach it.
     log_index: LogIndex,
 }
 
@@ -200,7 +208,6 @@ impl RollupContract {
         RollupContract {
             config,
             l1: L1Chain::new(),
-            canonical: L2State::new(),
             staged: L2State::new(),
             pending: VecDeque::new(),
             next_batch_id: BatchId::default(),
@@ -230,31 +237,34 @@ impl RollupContract {
     }
 
     /// Mutable access to the staged L2 state for *setup only* (deploying
-    /// collections, pre-minting fixtures). Mirrors into the canonical state
-    /// so the two stay consistent; panics if called while batches are
+    /// collections, pre-minting fixtures). With nothing pending the staged
+    /// state is also the finalized one; panics if called while actions are
     /// pending.
     pub fn l2_state_for_setup(&mut self) -> &mut L2State {
         assert!(
             self.pending.is_empty(),
             "setup mutations are only allowed before batches are pending"
         );
-        self.canonical = self.staged.clone();
-        // Keep canonical == staged: hand out staged, then copy on next call.
-        // Callers mutate staged; finalize() naturally reconciles canonical
-        // because snapshots chain from staged.
         &mut self.staged
     }
 
-    /// Finishes a setup phase by re-synchronising the canonical state with
-    /// the staged one.
+    /// Closes a setup phase. There is nothing to copy, so it only asserts
+    /// that nothing is pending.
     pub fn commit_setup(&mut self) {
         assert!(self.pending.is_empty(), "cannot commit setup mid-flight");
-        self.canonical = self.staged.clone();
     }
 
-    /// The finalized L2 state.
+    /// The finalized L2 state: the pre-state of the oldest pending action,
+    /// or the staged state when nothing is pending.
     pub fn finalized_state(&self) -> &L2State {
-        &self.canonical
+        self.state_before(0)
+    }
+
+    /// The state just before pending action `idx`: its pre-state snapshot,
+    /// or the staged state for `idx == pending.len()`. So action `idx`'s
+    /// post-state is `state_before(idx + 1)`.
+    fn state_before(&self, idx: usize) -> &L2State {
+        self.pending.get(idx).map_or(&self.staged, |(_, pre)| pre)
     }
 
     /// Number of batches finalized with forged roots nobody challenged.
@@ -276,7 +286,7 @@ impl RollupContract {
     /// batch, in finalization order. The "block" coordinate of a hit (and
     /// of the filter's range) is the batch id. Pending batches are not
     /// visible: their logs only become queryable — from the contract's own
-    /// honest re-execution — once the challenge window closes.
+    /// execution at submission — once the challenge window closes.
     pub fn query_logs(&self, filter: &LogFilter) -> Vec<LogHit> {
         self.log_index.query(filter)
     }
@@ -377,10 +387,11 @@ impl RollupContract {
         let id = self.next_batch_id;
         self.next_batch_id = self.next_batch_id.next();
         let pre = self.staged.clone();
-        // Optimistically advance the staged state by honest execution. (The
-        // claimed post-root may disagree — that is exactly what challenges
-        // catch; finalization records the divergence if nobody does.)
-        let _ = self.ovm.execute_sequence(&mut self.staged, &batch.txs);
+        // Optimistically advance the staged state by honest execution, the
+        // batch's only one. (The claimed post-root may disagree — that is
+        // exactly what challenges catch; finalization records the divergence
+        // if nobody does.)
+        let receipts = self.ovm.execute_sequence(&mut self.staged, &batch.txs);
         self.staged.advance_block();
         #[cfg(feature = "audit")]
         Self::audit_state(&self.staged, "batch submission");
@@ -388,6 +399,7 @@ impl RollupContract {
             PendingAction::Batch {
                 id,
                 batch,
+                receipts,
                 submitted_at: self.l1.height(),
             },
             pre,
@@ -397,10 +409,18 @@ impl RollupContract {
 
     /// The pending batch with the given id, if still challengeable.
     pub fn pending_batch(&self, id: BatchId) -> Option<&Batch> {
-        self.pending.iter().find_map(|(a, _)| match a {
-            PendingAction::Batch { id: bid, batch, .. } if *bid == id => Some(batch),
-            _ => None,
-        })
+        self.find_batch(id).map(|(_, batch)| batch)
+    }
+
+    /// The queue position and batch of pending batch `id`.
+    fn find_batch(&self, id: BatchId) -> Option<(usize, &Batch)> {
+        self.pending
+            .iter()
+            .enumerate()
+            .find_map(|(idx, (action, _))| match action {
+                PendingAction::Batch { id: bid, batch, .. } if *bid == id => Some((idx, batch)),
+                _ => None,
+            })
     }
 
     /// Ids of all currently pending batches, oldest first.
@@ -414,17 +434,32 @@ impl RollupContract {
             .collect()
     }
 
-    /// The pre-state snapshot a challenge against `id` would re-execute from.
+    /// The pre-state snapshot of pending batch `id`: the state a verifier
+    /// re-executes it from.
     pub fn challenge_pre_state(&self, id: BatchId) -> Option<&L2State> {
-        self.pending.iter().find_map(|(a, pre)| match a {
-            PendingAction::Batch { id: bid, .. } if *bid == id => Some(pre),
-            _ => None,
-        })
+        self.find_batch(id).map(|(idx, _)| self.state_before(idx))
+    }
+
+    /// What both adjudications check first: `verifier` must be bonded and
+    /// `id` pending. Returns the batch's queue position and the batch.
+    fn challenged(
+        &self,
+        verifier: VerifierId,
+        id: BatchId,
+    ) -> Result<(usize, &Batch), RollupError> {
+        if self.verifier_bond(verifier).is_zero() {
+            return Err(RollupError::VerifierNotBonded(verifier));
+        }
+        let found = self.find_batch(id).ok_or(RollupError::UnknownBatch(id))?;
+        parole_telemetry::counter("rollup.challenges", 1);
+        Ok(found)
     }
 
     /// Adjudicates a challenge by `verifier` against pending batch `id`.
     ///
-    /// The contract re-executes the batch from its pre-state snapshot:
+    /// The contract compares the batch's claimed post-root with the
+    /// post-state of its own execution at submission (the next pending
+    /// action's pre-state, or the staged state), so nothing runs again:
     ///
     /// - post-root mismatch → fraud proven: the aggregator's bond is slashed,
     ///   part of it rewarded to the challenger, the batch and every action
@@ -441,34 +476,14 @@ impl RollupContract {
         verifier: VerifierId,
         id: BatchId,
     ) -> Result<ChallengeOutcome, RollupError> {
-        let vbond = self.verifier_bond(verifier);
-        if vbond.is_zero() {
-            return Err(RollupError::VerifierNotBonded(verifier));
-        }
-        let idx = self
-            .pending
-            .iter()
-            .position(|(a, _)| matches!(a, PendingAction::Batch { id: bid, .. } if *bid == id))
-            .ok_or(RollupError::UnknownBatch(id))?;
-
-        let (action, pre) = &self.pending[idx];
-        let PendingAction::Batch { batch, .. } = action else {
-            unreachable!("position matched a batch");
-        };
-
-        let (_, reexecuted) = self.ovm.simulate_sequence(pre, &batch.txs);
-        let mut re_state = reexecuted;
-        re_state.advance_block();
-        let honest_root = re_state.state_root();
-
-        parole_telemetry::counter("rollup.challenges", 1);
-        if honest_root == batch.commitment.post_state_root {
+        let (idx, batch) = self.challenged(verifier, id)?;
+        let aggregator = batch.aggregator;
+        if self.state_before(idx + 1).state_root() == batch.commitment.post_state_root {
             // Frivolous challenge.
             return Ok(self.reject_challenge(verifier));
         }
 
         // Fraud proven: slash, reward, burn, roll back.
-        let aggregator = batch.aggregator;
         let outcome = self.slash_for_fraud(aggregator, verifier);
         self.rollback_pending_from(idx);
         Ok(outcome)
@@ -514,45 +529,39 @@ impl RollupContract {
     /// inclusions), withdrawals survive if still coverable, and batches —
     /// which chained on the reverted root — are dropped.
     fn rollback_pending_from(&mut self, idx: usize) {
-        let (_, pre_state) = self.pending[idx].clone();
-        let tail: Vec<(PendingAction, L2State)> = self.pending.drain(idx..).skip(1).collect();
-        self.staged = pre_state;
+        let mut tail = self.pending.split_off(idx).into_iter();
+        let (_, pre) = tail.next().expect("idx is a pending action");
+        self.staged = pre;
         for (action, _) in tail {
             match action {
-                PendingAction::Deposit { user, amount } => {
-                    let pre = self.staged.clone();
-                    self.staged.credit(user, amount);
-                    self.pending
-                        .push_back((PendingAction::Deposit { user, amount }, pre));
-                }
+                PendingAction::Deposit { user, amount } => self
+                    .deposit(user, amount)
+                    .expect("a pending deposit is non-zero"),
+                // A withdrawal funded by the reverted batch may no longer be
+                // coverable; `withdraw` then refuses it, as the L1 bridge
+                // would refuse the payout.
                 PendingAction::Withdraw { user, amount } => {
-                    // A withdrawal funded by the reverted batch may no longer
-                    // be coverable; it is then dropped, as the L1 bridge
-                    // would refuse the payout.
-                    let pre = self.staged.clone();
-                    if self.staged.debit(user, amount).is_ok() {
-                        self.pending
-                            .push_back((PendingAction::Withdraw { user, amount }, pre));
-                    }
+                    let _ = self.withdraw(user, amount);
                 }
-                PendingAction::Batch { .. } => {
-                    // Dependent batches chained on the fraudulent root and
-                    // are dropped.
-                }
+                // Dependent batches chained on the fraudulent root and are
+                // dropped.
+                PendingAction::Batch { .. } => {}
             }
         }
     }
 
     /// Adjudicates a challenge through the interactive bisection game
-    /// instead of whole-batch re-execution (see [`crate::bisection`]).
+    /// instead of a whole-batch verdict (see [`crate::bisection`]).
     ///
     /// Both sides bring an execution trace over the batch's pre-state
     /// snapshot. The contract bisects to one disputed step, then settles it
     /// with a single transaction execution plus stateless record openings —
     /// `O(log n)` root queries and proof bytes, never a batch re-run. The
-    /// whole-batch [`RollupContract::challenge`] path remains as the audit
-    /// oracle's reference side; `parole-audit`'s differential suite pins
-    /// that both paths reach the same verdict.
+    /// whole-batch [`RollupContract::challenge`] remains the reference
+    /// verdict: `both_adjudications_agree` in `crates/rollup/tests/bisection.rs`
+    /// pins that both reach the same outcome and leave the same staged and
+    /// finalized roots, on honest batches, on batches forged at a random
+    /// step and on forged post-roots.
     ///
     /// Rule violations settle immediately: a defender whose trace does not
     /// start at the batch's pre-state snapshot (or covers the wrong number
@@ -570,24 +579,11 @@ impl RollupContract {
         defender: &dyn DefenderSide,
         challenger: &dyn ChallengerSide,
     ) -> Result<InteractiveChallenge, RollupError> {
-        let vbond = self.verifier_bond(verifier);
-        if vbond.is_zero() {
-            return Err(RollupError::VerifierNotBonded(verifier));
-        }
-        let idx = self
-            .pending
-            .iter()
-            .position(|(a, _)| matches!(a, PendingAction::Batch { id: bid, .. } if *bid == id))
-            .ok_or(RollupError::UnknownBatch(id))?;
-        let (action, pre) = &self.pending[idx];
-        let PendingAction::Batch { batch, .. } = action else {
-            unreachable!("position matched a batch");
-        };
-        let pre_root = pre.state_root();
+        let (idx, batch) = self.challenged(verifier, id)?;
+        let pre_root = self.state_before(idx).state_root();
         let n = batch.len();
         let aggregator = batch.aggregator;
 
-        parole_telemetry::counter("rollup.challenges", 1);
         parole_telemetry::counter("fraud.bisection_games", 1);
 
         let ctrace = challenger.trace();
@@ -618,8 +614,7 @@ impl RollupContract {
         let result = bisect(dtrace, ctrace);
         parole_telemetry::observe("fraud.bisection_rounds", u64::from(result.rounds));
 
-        let batch = batch.clone();
-        let verdict = settle_step(&self.ovm, &batch, defender, challenger, result.step);
+        let verdict = settle_step(&self.ovm, batch, defender, challenger, result.step);
         match verdict {
             SettlementVerdict::DefenderWins | SettlementVerdict::ChallengerForfeit => {
                 parole_telemetry::counter("fraud.defender_wins", 1);
@@ -646,41 +641,35 @@ impl RollupContract {
     }
 
     /// Seals an L1 block: everything pending whose challenge window expired
-    /// finalizes into the canonical state. Returns the new L1 height.
+    /// finalizes, in submission order, and nothing executes. Popping an
+    /// action makes its post-state the finalized state; a finalized batch's
+    /// held receipts go into the log index, and its post-root decides
+    /// whether it was a forgery nobody challenged. Returns the new L1
+    /// height.
     pub fn advance_l1_block(&mut self) -> BlockNumber {
         let height_after = self.l1.height().value() + 1;
         let mut finalized = Vec::new();
         while let Some((action, _)) = self.pending.front() {
-            let ready = match action {
-                PendingAction::Deposit { .. } | PendingAction::Withdraw { .. } => true,
-                PendingAction::Batch { submitted_at, .. } => {
-                    height_after >= submitted_at.value() + self.config.challenge_period
+            if let PendingAction::Batch { submitted_at, .. } = action {
+                if height_after < submitted_at.value() + self.config.challenge_period {
+                    break;
                 }
-            };
-            if !ready {
-                break;
             }
-            let (action, _pre) = self.pending.pop_front().expect("front checked");
-            match action {
-                PendingAction::Deposit { user, amount } => {
-                    self.canonical.credit(user, amount);
+            let (action, _) = self.pending.pop_front().expect("front checked");
+            if let PendingAction::Batch {
+                id,
+                batch,
+                receipts,
+                ..
+            } = action
+            {
+                self.log_index.index_block(id.value(), &receipts);
+                if self.finalized_state().state_root() != batch.commitment.post_state_root {
+                    self.undetected_forgeries += 1;
+                    parole_telemetry::counter("rollup.undetected_forgeries", 1);
                 }
-                PendingAction::Withdraw { user, amount } => {
-                    self.canonical
-                        .debit(user, amount)
-                        .expect("withdrawal was validated against the staged state");
-                }
-                PendingAction::Batch { id, batch, .. } => {
-                    let receipts = self.ovm.execute_sequence(&mut self.canonical, &batch.txs);
-                    self.log_index.index_block(id.value(), &receipts);
-                    self.canonical.advance_block();
-                    if self.canonical.state_root() != batch.commitment.post_state_root {
-                        self.undetected_forgeries += 1;
-                        parole_telemetry::counter("rollup.undetected_forgeries", 1);
-                    }
-                    parole_telemetry::counter("rollup.batches_finalized", 1);
-                    finalized.push(id);
-                }
+                parole_telemetry::counter("rollup.batches_finalized", 1);
+                finalized.push(id);
             }
         }
         // Cheap always-on (debug builds) sanity: batches finalize strictly in
@@ -689,11 +678,11 @@ impl RollupContract {
         let height = self.l1.seal_block(finalized);
 
         // Finalization is irreversible: with the audit feature on, sweep the
-        // canonical state through the full ERC-721 invariant checker and
+        // finalized state through the full ERC-721 invariant checker and
         // re-verify the L1 chain's content hashes before letting it stand.
         #[cfg(feature = "audit")]
         {
-            Self::audit_state(&self.canonical, "finalization");
+            Self::audit_state(self.finalized_state(), "finalization");
             assert!(
                 self.l1.verify_integrity(),
                 "L1 integrity audit failed after sealing block {height}"
@@ -771,7 +760,7 @@ mod tests {
     }
 
     /// Batch logs become queryable only at finalization, sourced from the
-    /// contract's honest re-execution — pending batches expose nothing.
+    /// contract's own execution — pending batches expose nothing.
     #[test]
     fn finalized_batches_answer_log_queries() {
         use parole_ovm::{EventKind, LogFilter};
@@ -802,6 +791,107 @@ mod tests {
         // Minter-addressed query sees only that minter's transfers.
         let u1 = rollup.query_logs(&LogFilter::all().involving(addr(1)));
         assert_eq!(u1.len(), 2, "addr(1) minted tokens 0 and 2");
+    }
+
+    /// Finalization executes nothing, so check it against a replay built
+    /// by hand. One lifecycle — a deposit, an honest batch, a forged batch
+    /// and a withdrawal — advances one L1 block at a time. After every
+    /// advance the finalized state equals the test's own replay of the
+    /// finalized prefix (each batch through `Ovm::execute_sequence` plus
+    /// `advance_block`), the forgery count steps to 1 exactly when the
+    /// forged batch finalizes, and the log index holds exactly the
+    /// finalized batches' logs.
+    #[test]
+    fn finalization_matches_a_replay_of_the_finalized_prefix() {
+        enum Step {
+            Deposit(Address, Wei),
+            Withdraw(Address, Wei),
+            Batch {
+                id: BatchId,
+                txs: Vec<NftTransaction>,
+                forged: bool,
+            },
+        }
+        let mut rollup = RollupContract::new(RollupConfig::default());
+        let pt = rollup
+            .l2_state_for_setup()
+            .deploy_collection(CollectionConfig::parole_token());
+        rollup.commit_setup();
+        rollup.bond_aggregator(AggregatorId::new(0));
+        let mut agg = Aggregator::honest(AggregatorId::new(0), Wei::from_eth(10));
+        let mut steps = VecDeque::new();
+
+        // At the deployment height: a deposit and an honest batch.
+        rollup.deposit(addr(1), Wei::from_eth(5)).unwrap();
+        steps.push_back(Step::Deposit(addr(1), Wei::from_eth(5)));
+        let txs = mint_txs(pt, 2);
+        let batch = agg.build_batch(rollup.l2_state(), txs.clone());
+        let id = rollup.submit_batch(batch).unwrap();
+        steps.push_back(Step::Batch {
+            id,
+            txs,
+            forged: false,
+        });
+
+        // Steps finalized after each advance, counted by hand from the
+        // challenge period of 3: the deposit at once, the honest batch
+        // three blocks after its submission, the forged batch three blocks
+        // after its own, and the withdrawal right behind it.
+        let finalized_after = [1, 1, 2, 4, 4];
+        let mut replay = rollup.finalized_state().clone();
+        let mut index = LogIndex::new();
+        let mut forgeries = 0;
+        let mut done = 0;
+        for (k, want) in finalized_after.into_iter().enumerate() {
+            rollup.advance_l1_block();
+            if k == 0 {
+                // One block later: a forged batch and a withdrawal.
+                let txs = vec![NftTransaction::simple(
+                    addr(1),
+                    TxKind::Mint {
+                        collection: pt,
+                        token: TokenId::new(7),
+                    },
+                )];
+                let batch = agg.build_forged_batch(rollup.l2_state(), txs.clone());
+                let id = rollup.submit_batch(batch).unwrap();
+                steps.push_back(Step::Batch {
+                    id,
+                    txs,
+                    forged: true,
+                });
+                rollup.withdraw(addr(1), Wei::from_eth(1)).unwrap();
+                steps.push_back(Step::Withdraw(addr(1), Wei::from_eth(1)));
+            }
+            for _ in done..want {
+                match steps.pop_front().unwrap() {
+                    Step::Deposit(user, amount) => replay.credit(user, amount),
+                    Step::Withdraw(user, amount) => replay.debit(user, amount).unwrap(),
+                    Step::Batch { id, txs, forged } => {
+                        let receipts = Ovm::new().execute_sequence(&mut replay, &txs);
+                        replay.advance_block();
+                        index.index_block(id.value(), &receipts);
+                        forgeries += u64::from(forged);
+                    }
+                }
+            }
+            done = want;
+            assert!(rollup.finalized_state() == &replay);
+            assert_eq!(rollup.finalized_state().state_root(), replay.state_root());
+            assert_eq!(
+                rollup.finalized_state() == rollup.l2_state(),
+                steps.is_empty(),
+                "the finalized state trails the staged one while anything is pending"
+            );
+            assert_eq!(rollup.undetected_forgeries(), forgeries);
+            assert_eq!(
+                rollup.query_logs(&LogFilter::all()),
+                index.query(&LogFilter::all())
+            );
+        }
+        assert_eq!(forgeries, 1);
+        assert!(steps.is_empty());
+        assert!(!index.is_empty());
     }
 
     #[test]
@@ -840,7 +930,7 @@ mod tests {
         rollup.finalize_all();
         assert!(rollup.pending_batch_ids().is_empty());
         assert_eq!(rollup.undetected_forgeries(), 0);
-        // Canonical state caught up with execution.
+        // The finalized state caught up with execution.
         assert_eq!(
             rollup
                 .finalized_state()

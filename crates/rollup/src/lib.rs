@@ -18,7 +18,8 @@
 //! 4. [`Verifier`]s re-execute pending batches during the challenge period;
 //!    a successful challenge slashes the aggregator's bond, a frivolous one
 //!    slashes the verifier's;
-//! 5. unchallenged batches **finalize** into the canonical L2 state and are
+//! 5. unchallenged batches **finalize** — the post-state the contract
+//!    computed at submission becomes the finalized L2 state — and are
 //!    recorded on the [`L1Chain`].
 //!
 //! The crucial protocol fact the attack rests on (paper §IV-A): a batch whose

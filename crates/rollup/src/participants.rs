@@ -85,14 +85,10 @@ impl Aggregator {
         self.id
     }
 
-    /// The aggregator's remaining bond.
+    /// The bond the aggregator was created with. Slashes move only the
+    /// contract's bond map ([`crate::RollupContract::aggregator_bond`]).
     pub fn bond(&self) -> Wei {
         self.bond
-    }
-
-    /// The strategy's display name.
-    pub fn strategy_name(&self) -> &str {
-        self.strategy.name()
     }
 
     /// Forwards the strategy's attack accounting probe
@@ -101,21 +97,14 @@ impl Aggregator {
         self.strategy.attack_stats()
     }
 
-    /// Slashes `amount` from the bond (clamped), returning what was taken.
-    pub fn slash(&mut self, amount: Wei) -> Wei {
-        let taken = self.bond.min(amount);
-        self.bond -= taken;
-        taken
-    }
-
     /// Orders `window` with the configured strategy, executes it on a fork of
     /// `state`, and produces the batch with its state commitment.
     ///
     /// The committed post-root is the root *after* the end-of-batch block
-    /// advance — the same convention the contract applies when it re-executes
-    /// a batch (on submission, challenge and finalization). Since the state
-    /// root commits the block number, deriving the commitment without the
-    /// advance would make every honest batch look forged.
+    /// advance — the same convention the contract applies when it executes
+    /// a batch at submission. Since the state root commits the block number,
+    /// deriving the commitment without the advance would make every honest
+    /// batch look forged.
     ///
     /// The pre-state root read inside [`StateCommitment::derive`] hits the
     /// state's commitment cache, so building many batches over the same
@@ -170,31 +159,22 @@ impl Verifier {
         self.id
     }
 
-    /// The verifier's remaining bond.
+    /// The bond the verifier was created with. Slashes and rewards move
+    /// only the contract's bond map
+    /// ([`crate::RollupContract::verifier_bond`]).
     pub fn bond(&self) -> Wei {
         self.bond
-    }
-
-    /// Slashes `amount` from the bond (clamped), returning what was taken.
-    pub fn slash(&mut self, amount: Wei) -> Wei {
-        let taken = self.bond.min(amount);
-        self.bond -= taken;
-        taken
-    }
-
-    /// Credits a challenge reward.
-    pub fn reward(&mut self, amount: Wei) {
-        self.bond += amount;
     }
 
     /// Honestly re-executes `batch` from `pre_state` and reports whether the
     /// claimed commitment is valid.
     ///
     /// Re-execution ends with the same block advance the contract applies
-    /// ([`crate::RollupContract::challenge`] re-executes with it) — the two
-    /// sides of the challenge game must score the same root or honest
-    /// batches would be slashed and forged ones acquitted depending on who
-    /// computed the reference. The block number is part of the state root,
+    /// when it executes the batch at submission (the post-state
+    /// [`crate::RollupContract::challenge`] judges by) — the two sides of
+    /// the challenge game must score the same root or honest batches would
+    /// be slashed and forged ones acquitted depending on who computed the
+    /// reference. The block number is part of the state root,
     /// so the convention is observable and pinned by
     /// `commitment_post_root_includes_the_block_advance`.
     ///
@@ -335,16 +315,5 @@ mod tests {
         other.credit(Address::from_low_u64(42), Wei::from_eth(1));
         let verifier = Verifier::new(VerifierId::new(0), Wei::from_eth(5));
         assert!(!verifier.validate(&other, &batch));
-    }
-
-    #[test]
-    fn slashing_clamps_at_bond() {
-        let mut agg = Aggregator::honest(AggregatorId::new(0), Wei::from_eth(1));
-        assert_eq!(agg.slash(Wei::from_eth(5)), Wei::from_eth(1));
-        assert_eq!(agg.bond(), Wei::ZERO);
-        let mut v = Verifier::new(VerifierId::new(0), Wei::from_eth(1));
-        assert_eq!(v.slash(Wei::from_milli_eth(400)), Wei::from_milli_eth(400));
-        v.reward(Wei::from_eth(1));
-        assert_eq!(v.bond(), Wei::from_milli_eth(1600));
     }
 }

@@ -1,13 +1,15 @@
 //! Property-based tests of the interactive bisection game: convergence to
 //! the exact forged step under random batches and tamper points, the
-//! `k`-rounds-for-`2^k`-transactions bound, and single-step settlement
-//! convicting mid-stream forgeries without re-executing the batch.
+//! `k`-rounds-for-`2^k`-transactions bound, single-step settlement
+//! convicting mid-stream forgeries without re-executing the batch, and the
+//! contract's two adjudications reaching the same verdict.
 
 use parole_nft::CollectionConfig;
 use parole_ovm::{NftTransaction, Ovm, TxKind};
-use parole_primitives::{Address, TokenId, Wei};
+use parole_primitives::{Address, AggregatorId, TokenId, VerifierId, Wei};
 use parole_rollup::{
-    bisect, settle_step, DisputedStep, ExecutionTrace, SettlementVerdict, TracedExecution,
+    bisect, settle_step, Aggregator, Batch, ChallengeOutcome, DisputedStep, ExecutionTrace,
+    RollupConfig, RollupContract, SettlementVerdict, StateCommitment, TracedExecution,
 };
 use parole_state::L2State;
 use proptest::prelude::*;
@@ -49,6 +51,34 @@ fn world(n: usize, plan: &[u8]) -> (L2State, Vec<NftTransaction>) {
         })
         .collect();
     (state, txs)
+}
+
+/// The batch shell a defender posts: `txs` over `pre`, claiming the root
+/// of `executed` after the end-of-batch block advance.
+fn claim(pre: &L2State, txs: &[NftTransaction], executed: &L2State) -> Batch {
+    let mut post = executed.clone();
+    post.advance_block();
+    Batch {
+        aggregator: AggregatorId::new(0),
+        txs: txs.to_vec(),
+        receipts: Vec::new(),
+        commitment: StateCommitment {
+            pre_state_root: pre.state_root(),
+            post_state_root: post.state_root(),
+            tx_root: Batch::compute_tx_root(txs),
+        },
+    }
+}
+
+/// A contract whose genesis is `world`, with a bonded aggregator and
+/// verifier.
+fn deployed(world: &L2State) -> RollupContract {
+    let mut rollup = RollupContract::new(RollupConfig::default());
+    *rollup.l2_state_for_setup() = world.clone();
+    rollup.commit_setup();
+    rollup.bond_aggregator(AggregatorId::new(0));
+    rollup.bond_verifier(VerifierId::new(0));
+    rollup
 }
 
 proptest! {
@@ -133,18 +163,7 @@ proptest! {
 
         // Settlement needs only the batch's txs; build the minimal batch
         // shell around the defender's claimed commitment.
-        let mut post = defender.final_state().clone();
-        post.advance_block();
-        let batch = parole_rollup::Batch {
-            aggregator: parole_primitives::AggregatorId::new(0),
-            txs: txs.clone(),
-            receipts: Vec::new(),
-            commitment: parole_rollup::StateCommitment {
-                pre_state_root: pre.state_root(),
-                post_state_root: post.state_root(),
-                tx_root: parole_rollup::Batch::compute_tx_root(&txs),
-            },
-        };
+        let batch = claim(&pre, &txs, defender.final_state());
         match settle_step(&ovm, &batch, &defender, &challenger, result.step) {
             SettlementVerdict::FraudConfirmed { honest_root, .. } => {
                 prop_assert_eq!(
@@ -174,22 +193,83 @@ proptest! {
         prop_assert_eq!(result.step, DisputedStep::BlockAdvance);
         prop_assert_eq!(result.rounds, 0);
 
-        let mut post = defender.final_state().clone();
-        post.advance_block();
-        let batch = parole_rollup::Batch {
-            aggregator: parole_primitives::AggregatorId::new(0),
-            txs: txs.clone(),
-            receipts: Vec::new(),
-            commitment: parole_rollup::StateCommitment {
-                pre_state_root: pre.state_root(),
-                post_state_root: post.state_root(),
-                tx_root: parole_rollup::Batch::compute_tx_root(&txs),
-            },
-        };
+        let batch = claim(&pre, &txs, defender.final_state());
         prop_assert_eq!(
             settle_step(&ovm, &batch, &defender, &challenger, result.step),
             SettlementVerdict::DefenderWins
         );
+    }
+
+    /// The contract's two adjudications agree. One batch goes to two
+    /// identically built contracts, each followed by a deposit and a
+    /// dependent honest batch; the first settles it with the whole-batch
+    /// `challenge`, the second with `challenge_interactive`. The batch is
+    /// honest, forged at a random step (a credit smuggled to that step's
+    /// sender or to an outsider), or forged in its post-root alone. Both
+    /// must return the same outcome and leave equal staged and finalized
+    /// roots, before and after finalizing everything.
+    #[test]
+    fn both_adjudications_agree(
+        n in 1usize..12,
+        plan in prop::collection::vec(any::<u8>(), 12),
+        forgery in 0u8..3,
+        step_seed in any::<u64>(),
+        to_sender in any::<bool>(),
+    ) {
+        let (world, txs) = world(n, &plan);
+        let ovm = Ovm::new();
+        let forged_step = (forgery == 1).then_some((step_seed % n as u64) as usize);
+        let defender = TracedExecution::record_with(&ovm, &world, &txs, |i, st| {
+            if Some(i) == forged_step {
+                let to = if to_sender { txs[i].sender } else { addr(77) };
+                st.credit(to, Wei::from_eth(1));
+            }
+        });
+        let mut batch = claim(&world, &txs, defender.final_state());
+        if forgery == 2 {
+            batch.commitment.post_state_root =
+                parole_crypto::keccak256(batch.commitment.post_state_root.as_bytes());
+        }
+
+        let mut contracts = [deployed(&world), deployed(&world)];
+        for rollup in &mut contracts {
+            rollup.submit_batch(batch.clone()).unwrap();
+            rollup.deposit(addr(1), Wei::from_eth(1)).unwrap();
+            let mint = NftTransaction::simple(
+                addr(0),
+                TxKind::Mint { collection: txs[0].kind.collection(), token: TokenId::new(500) },
+            );
+            let dependent = Aggregator::honest(AggregatorId::new(0), Wei::from_eth(10))
+                .build_batch(rollup.l2_state(), vec![mint]);
+            rollup.submit_batch(dependent).unwrap();
+        }
+        let id = contracts[0].pending_batch_ids()[0];
+        let [whole, interactive] = &mut contracts;
+        let challenger =
+            TracedExecution::record(&ovm, interactive.challenge_pre_state(id).unwrap(), &txs);
+
+        let verdict = whole.challenge(VerifierId::new(0), id).unwrap();
+        let report = interactive
+            .challenge_interactive(VerifierId::new(0), id, &defender, &challenger)
+            .unwrap();
+        prop_assert_eq!(verdict, report.outcome);
+        prop_assert_eq!(
+            matches!(verdict, ChallengeOutcome::FraudProven { .. }),
+            forgery != 0
+        );
+        for finalize in [false, true] {
+            if finalize {
+                whole.finalize_all();
+                interactive.finalize_all();
+            }
+            prop_assert_eq!(whole.l2_state().state_root(), interactive.l2_state().state_root());
+            prop_assert_eq!(
+                whole.finalized_state().state_root(),
+                interactive.finalized_state().state_root()
+            );
+        }
+        prop_assert_eq!(whole.undetected_forgeries(), 0);
+        prop_assert_eq!(interactive.undetected_forgeries(), 0);
     }
 }
 
@@ -219,18 +299,7 @@ fn forged_credit_beside_an_operator_grant_blames_only_the_account() {
 
     let result = bisect(defender.trace(), challenger.trace());
     assert_eq!(result.step, DisputedStep::Tx(0));
-    let mut post = defender.final_state().clone();
-    post.advance_block();
-    let batch = parole_rollup::Batch {
-        aggregator: parole_primitives::AggregatorId::new(0),
-        txs: txs.clone(),
-        receipts: Vec::new(),
-        commitment: parole_rollup::StateCommitment {
-            pre_state_root: pre.state_root(),
-            post_state_root: post.state_root(),
-            tx_root: parole_rollup::Batch::compute_tx_root(&txs),
-        },
-    };
+    let batch = claim(&pre, &txs, defender.final_state());
     match settle_step(&ovm, &batch, &defender, &challenger, result.step) {
         SettlementVerdict::FraudConfirmed { diverging, .. } => {
             assert_eq!(diverging, vec![parole_state::RecordKey::Acct(sender)]);

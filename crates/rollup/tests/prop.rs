@@ -2,10 +2,12 @@
 //! lifecycle invariants and the fraud-proof game under random histories.
 
 use parole_nft::CollectionConfig;
-use parole_ovm::{NftTransaction, TxKind, WireField};
+use parole_ovm::{NftTransaction, Ovm, TxKind, WireField};
 use parole_primitives::{Address, AggregatorId, TokenId, VerifierId, Wei};
 use parole_rollup::calldata;
-use parole_rollup::{Aggregator, Batch, RollupConfig, RollupContract, Verifier};
+use parole_rollup::{
+    Aggregator, Batch, BatchId, ChallengeOutcome, RollupConfig, RollupContract, Verifier,
+};
 use proptest::prelude::*;
 
 /// A protocol-level action the property machine performs.
@@ -17,6 +19,18 @@ enum Action {
     ForgedBatch { mint_token: u64 },
     ChallengeOldest,
     AdvanceL1,
+}
+
+/// An action the contract accepted, as the property machine replays it.
+#[derive(Debug)]
+enum Accepted {
+    Deposit(Address, Wei),
+    Withdraw(Address, Wei),
+    Batch {
+        id: BatchId,
+        txs: Vec<NftTransaction>,
+        forged: bool,
+    },
 }
 
 fn arb_action() -> impl Strategy<Value = Action> {
@@ -179,8 +193,8 @@ proptest! {
     /// Whatever happens — deposits, withdrawals, honest and forged batches,
     /// challenges, finalizations — the protocol invariants hold:
     /// the L1 hash chain stays intact, no forged batch that was challenged
-    /// ever finalizes, and the canonical state equals the staged state once
-    /// nothing is pending.
+    /// ever finalizes, and once nothing is pending the finalized state
+    /// equals the test's own replay of every action that survived.
     #[test]
     fn protocol_invariants_under_random_histories(
         actions in prop::collection::vec(arb_action(), 1..40),
@@ -190,8 +204,11 @@ proptest! {
             .l2_state_for_setup()
             .deploy_collection(CollectionConfig::parole_token());
         rollup.commit_setup();
+        let genesis = rollup.finalized_state().clone();
+        let mut accepted = Vec::new();
         for u in 1..5u64 {
             rollup.deposit(Address::from_low_u64(u), Wei::from_eth(5)).unwrap();
+            accepted.push(Accepted::Deposit(Address::from_low_u64(u), Wei::from_eth(5)));
         }
         rollup.bond_aggregator(AggregatorId::new(0));
         rollup.bond_verifier(VerifierId::new(0));
@@ -203,13 +220,18 @@ proptest! {
         for action in actions {
             match action {
                 Action::Deposit { user, eth } => {
+                    let (user, amount) = (Address::from_low_u64(user), Wei::from_eth(eth));
                     rollup
-                        .deposit(Address::from_low_u64(user), Wei::from_eth(eth))
+                        .deposit(user, amount)
                         .expect("non-zero deposits always accepted");
+                    accepted.push(Accepted::Deposit(user, amount));
                 }
                 Action::Withdraw { user, eth } => {
                     // May legitimately fail on insufficient balance.
-                    let _ = rollup.withdraw(Address::from_low_u64(user), Wei::from_eth(eth));
+                    let (user, amount) = (Address::from_low_u64(user), Wei::from_eth(eth));
+                    if rollup.withdraw(user, amount).is_ok() {
+                        accepted.push(Accepted::Withdraw(user, amount));
+                    }
                 }
                 Action::HonestBatch { mint_token } => {
                     let tx = NftTransaction::simple(
@@ -218,7 +240,8 @@ proptest! {
                     );
                     let batch = agg.build_batch(rollup.l2_state(), vec![tx]);
                     if rollup.aggregator_bond(AggregatorId::new(0)) > Wei::ZERO {
-                        rollup.submit_batch(batch).expect("fresh honest batch");
+                        let id = rollup.submit_batch(batch).expect("fresh honest batch");
+                        accepted.push(Accepted::Batch { id, txs: vec![tx], forged: false });
                     }
                 }
                 Action::ForgedBatch { mint_token } => {
@@ -227,10 +250,11 @@ proptest! {
                         TxKind::Mint { collection: pt, token: TokenId::new(mint_token) },
                     );
                     let batch = agg.build_forged_batch(rollup.l2_state(), vec![tx]);
-                    if rollup.aggregator_bond(AggregatorId::new(0)) > Wei::ZERO
-                        && rollup.submit_batch(batch).is_ok()
-                    {
-                        submitted_forgeries += 1;
+                    if rollup.aggregator_bond(AggregatorId::new(0)) > Wei::ZERO {
+                        if let Ok(id) = rollup.submit_batch(batch) {
+                            submitted_forgeries += 1;
+                            accepted.push(Accepted::Batch { id, txs: vec![tx], forged: true });
+                        }
                     }
                 }
                 Action::ChallengeOldest => {
@@ -243,8 +267,20 @@ proptest! {
                         // Only challenge when the verifier would: frivolous
                         // challenges lose the bond and end the game early.
                         if verifier.should_challenge(&pre, &batch) {
-                            rollup.challenge(VerifierId::new(0), id).unwrap();
+                            let outcome = rollup.challenge(VerifierId::new(0), id).unwrap();
+                            prop_assert!(matches!(outcome, ChallengeOutcome::FraudProven { .. }));
                             challenged_forgeries += 1;
+                            // The batch and every batch after it (they
+                            // chained on its root) are gone; deposits and
+                            // withdrawals stay.
+                            let mut dropped = false;
+                            accepted.retain(|a| match a {
+                                Accepted::Batch { id: b, .. } => {
+                                    dropped |= *b == id;
+                                    !dropped
+                                }
+                                _ => true,
+                            });
                             // The aggregator got slashed; re-bond so the
                             // machine keeps running.
                             rollup.bond_aggregator(AggregatorId::new(0));
@@ -260,11 +296,28 @@ proptest! {
 
         rollup.finalize_all();
         prop_assert!(rollup.pending_batch_ids().is_empty());
-        prop_assert_eq!(
-            rollup.finalized_state().state_root(),
-            rollup.l2_state().state_root(),
-            "canonical must converge to staged when nothing is pending"
+        let mut replay = genesis;
+        let mut surviving_forgeries = 0;
+        for action in accepted {
+            match action {
+                Accepted::Deposit(user, amount) => replay.credit(user, amount),
+                // A withdrawal that a rollback left uncovered was dropped.
+                Accepted::Withdraw(user, amount) => {
+                    let _ = replay.debit(user, amount);
+                }
+                Accepted::Batch { txs, forged, .. } => {
+                    let _ = Ovm::new().execute_sequence(&mut replay, &txs);
+                    replay.advance_block();
+                    surviving_forgeries += u64::from(forged);
+                }
+            }
+        }
+        prop_assert!(
+            rollup.finalized_state() == &replay,
+            "the finalized state must equal a replay of every surviving action"
         );
+        prop_assert_eq!(rollup.finalized_state().state_root(), replay.state_root());
+        prop_assert_eq!(rollup.undetected_forgeries(), surviving_forgeries);
         // Every forgery the verifier caught was excluded from finality;
         // only unchallenged ones may have slipped through.
         prop_assert!(

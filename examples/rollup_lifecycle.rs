@@ -7,7 +7,10 @@
 //! ```
 //!
 //! This example exercises the substrate the attack runs on, without any
-//! attack: it is the "hello world" of the `parole-rollup` crate.
+//! attack: it is the "hello world" of the `parole-rollup` crate. It asserts
+//! what it prints — the forgery is proven, none goes undetected, the L1
+//! chain is intact and bob owns token 0 — so a broken lifecycle exits
+//! non-zero.
 
 use parole_nft::CollectionConfig;
 use parole_ovm::{NftTransaction, TxKind};
@@ -88,19 +91,19 @@ fn main() {
     println!("verifier smells fraud: {pre_state_ok}");
     let forged_id = rollup.submit_batch(forged).unwrap();
 
-    match rollup.challenge(VerifierId::new(0), forged_id).unwrap() {
-        ChallengeOutcome::FraudProven {
-            slashed,
-            reward,
-            burned,
-        } => {
-            println!(
-                "challenge succeeded: aggregator slashed {slashed}, \
-                 verifier rewarded {reward}, remainder burned {burned}"
-            );
-        }
-        other => println!("unexpected outcome: {other:?}"),
-    }
+    let outcome = rollup.challenge(VerifierId::new(0), forged_id).unwrap();
+    let ChallengeOutcome::FraudProven {
+        slashed,
+        reward,
+        burned,
+    } = outcome
+    else {
+        panic!("the forged batch must be proven fraudulent, got {outcome:?}");
+    };
+    println!(
+        "challenge succeeded: aggregator slashed {slashed}, \
+         verifier rewarded {reward}, remainder burned {burned}"
+    );
     println!(
         "aggregator 1 bond on contract: {}",
         rollup.aggregator_bond(AggregatorId::new(1))
@@ -108,18 +111,19 @@ fn main() {
 
     // --- Finalization ----------------------------------------------------------
     rollup.finalize_all();
+    let intact = rollup.l1().verify_integrity();
     println!(
-        "\nafter challenge period: L1 height {}, chain integrity {}",
+        "\nafter challenge period: L1 height {}, chain integrity {intact}",
         rollup.l1().height(),
-        rollup.l1().verify_integrity()
     );
-    println!(
-        "finalized state: bob owns token#0: {}",
-        rollup
-            .finalized_state()
-            .collection(pt)
-            .unwrap()
-            .is_owner(bob, TokenId::new(0))
-    );
+    let bob_owns = rollup
+        .finalized_state()
+        .collection(pt)
+        .unwrap()
+        .is_owner(bob, TokenId::new(0));
+    println!("finalized state: bob owns token#0: {bob_owns}");
     println!("undetected forgeries: {}", rollup.undetected_forgeries());
+    assert!(intact, "the L1 chain must stay intact");
+    assert!(bob_owns, "the honest batch's transfer must finalize");
+    assert_eq!(rollup.undetected_forgeries(), 0, "no forgery may finalize");
 }
